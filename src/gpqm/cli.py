@@ -188,14 +188,11 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool) -> None:
             for p in metrics.packets:
                 w.writerow([p.fap_id, p.created_s, "" if p.delay_s is None else p.delay_s,
                             int(p.dropped)])
+    p90_delay, p90_throughput = metrics.percentiles(90.0)
     summary = {
         "label": metrics.label,
-        "p90_throughput_bps": summarize(metrics.throughput_samples_bps).percentile(10.0),
-        "p90_delay_s": (
-            summarize(metrics.delay_samples_s).percentile(90.0)
-            if metrics.delay_samples_s
-            else None
-        ),
+        "p90_throughput_bps": p90_throughput,
+        "p90_delay_s": p90_delay if metrics.delay_samples_s else None,
         "plr": metrics.plr,
         "window_delivered": metrics.window_delivered,
         "window_dropped": metrics.window_dropped,

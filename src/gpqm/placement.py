@@ -252,28 +252,7 @@ def sphere_pair_analysis(
         return OverlapAnalysis(overlap, None, None, None, None)
 
     def refine(start: Point, sign: float) -> Point:
-        best = start
-        best_val = sign * total(best)
-        step = 1.0
-        while step >= 0.005:
-            moved = True
-            while moved:
-                moved = False
-                for dvec in _DIRECTIONS:
-                    cand = (
-                        best[0] + step * dvec[0],
-                        best[1] + step * dvec[1],
-                        best[2] + step * dvec[2],
-                    )
-                    if not admissible(cand):
-                        continue
-                    val = sign * total(cand)
-                    if val < best_val - 1e-15:
-                        best = cand
-                        best_val = val
-                        moved = True
-            step *= 0.5
-        return best
+        return _descend(start, lambda p: sign * total(p) if admissible(p) else math.inf, venue)
 
     min_seed = min(seeds, key=total)
     max_seed = max(seeds, key=total)

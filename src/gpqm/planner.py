@@ -36,7 +36,7 @@ from .queueing import (
     planned_queue_size,
     rates_from_traffic,
 )
-from .scenario import ScenarioTrace, Snapshot
+from .scenario import ScenarioTrace, Snapshot, _from_dict, _to_dict
 
 SLACK_TOL_M = 1e-9
 
@@ -321,6 +321,15 @@ def check_formulation(
 # --- plan file format -----------------------------------------------------
 
 
+# Plan-file keys of the FapPlan fields whose key is not the field name.
+_FAP_PLAN_KEYS = {
+    "fap_id": "id",
+    "mcs_index": "mcs",
+    "target_snr_db": "snr_db",
+    "utilisation": "rho",
+}
+
+
 def plan_series_to_json(series: PlanSeries, duration_s: float | None = None) -> dict:
     """Export a series on a 1 s zero-order-hold grid (the simulator cadence)."""
     end = duration_s if duration_s is not None else series.end_s
@@ -333,19 +342,7 @@ def plan_series_to_json(series: PlanSeries, duration_s: float | None = None) -> 
                 "t": t,
                 "p_tx_dbm": plan.tx_power_dbm,
                 "fgw": list(plan.fgw_position),
-                "faps": [
-                    {
-                        "id": f.fap_id,
-                        "mcs": f.mcs_index,
-                        "snr_db": f.target_snr_db,
-                        "capacity_bps": f.capacity_bps,
-                        "rho": f.utilisation,
-                        "queue_pkts": f.queue_pkts,
-                        "delay_s": f.delay_s,
-                        "plr": f.plr,
-                    }
-                    for f in plan.faps
-                ],
+                "faps": [_to_dict(f, _FAP_PLAN_KEYS) for f in plan.faps],
             }
         )
         t += 1.0
@@ -358,31 +355,22 @@ def plan_series_to_json(series: PlanSeries, duration_s: float | None = None) -> 
     }
 
 
+def _fap_plan_from_json(entry: dict) -> FapPlan:
+    if "demand_bps" not in entry:  # plan files written before the demand was stored
+        entry = {**entry, "demand_bps": entry.get("rho", 0.0) * entry.get("capacity_bps", 0.0)}
+    return _from_dict(FapPlan, entry, _FAP_PLAN_KEYS)
+
+
 def plan_series_from_json(data: dict) -> PlanSeries:
-    plans = []
-    for entry in data["plans"]:
-        faps = tuple(
-            FapPlan(
-                fap_id=str(f["id"]),
-                demand_bps=f.get("demand_bps", 0.0) or f["rho"] * f["capacity_bps"],
-                mcs_index=int(f["mcs"]),
-                target_snr_db=float(f["snr_db"]),
-                capacity_bps=float(f["capacity_bps"]),
-                utilisation=float(f["rho"]),
-                queue_pkts=int(f["queue_pkts"]),
-                delay_s=float(f["delay_s"]),
-                plr=float(f["plr"]),
-            )
-            for f in entry["faps"]
+    plans = [
+        GpqmPlan(
+            t_s=float(entry["t"]),
+            tx_power_dbm=float(entry["p_tx_dbm"]),
+            fgw_position=tuple(float(v) for v in entry["fgw"]),
+            faps=tuple(_fap_plan_from_json(f) for f in entry["faps"]),
+            margins_m=(),
         )
-        plans.append(
-            GpqmPlan(
-                t_s=float(entry["t"]),
-                tx_power_dbm=float(entry["p_tx_dbm"]),
-                fgw_position=tuple(float(v) for v in entry["fgw"]),
-                faps=faps,
-                margins_m=(),
-            )
-        )
+        for entry in data["plans"]
+    ]
     period = float(data.get("config_echo", {}).get("sampling_period_s", 1.0))
     return PlanSeries(tuple(plans), period)

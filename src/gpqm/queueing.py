@@ -60,7 +60,8 @@ def mm1q_plr(rho: float, queue_pkts: int) -> float:
     """Blocking probability of an M/M/1 queue holding at most `queue_pkts` packets.
 
     The count includes the packet in service. At rho == 1 the formula's
-    limit 1/(queue_pkts + 1) is returned.
+    limit 1/(queue_pkts + 1) is returned; above 1 it is evaluated in 1/rho,
+    which cannot overflow.
     """
     if queue_pkts < 1:
         raise ValueError("queue size must be at least 1")
@@ -68,6 +69,9 @@ def mm1q_plr(rho: float, queue_pkts: int) -> float:
         raise ValueError("utilisation must be non-negative")
     if abs(rho - 1.0) < 1e-12:
         return 1.0 / (queue_pkts + 1)
+    if rho > 1.0:
+        r = 1.0 / rho
+        return (1.0 - r) / (1.0 - r ** (queue_pkts + 1))
     return (1.0 - rho) / (1.0 - rho ** (queue_pkts + 1)) * rho**queue_pkts
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .channel import ChannelParams, McsEntry, McsTable, default_mcs_table
@@ -292,6 +292,33 @@ def load_waypoints(path: str | Path) -> dict[str, tuple[Waypoint, ...]]:
     return {k: tuple(sorted(v)) for k, v in out.items()}
 
 
+def _to_dict(obj, rename: dict[str, str] | None = None) -> dict:
+    """A dataclass as a dict under its field names, some renamed per `rename`."""
+    rename = rename or {}
+    return {rename.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
+
+
+def _reject_unknown(where: str, data: dict, known) -> None:
+    unknown = [k for k in data if k not in known]
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+
+
+def _from_dict(cls, data: dict, rename: dict[str, str] | None = None):
+    """Inverse of `_to_dict`; unknown and missing keys raise a ValueError naming them."""
+    rename = rename or {}
+    keys = {rename.get(f.name, f.name): f for f in fields(cls)}
+    _reject_unknown(cls.__name__, data, keys)
+    missing = [
+        k
+        for k, f in keys.items()
+        if k not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"{cls.__name__}: missing keys {missing}")
+    return cls(**{keys[k].name: v for k, v in data.items()})
+
+
 def scenario_to_json(trace: ScenarioTrace) -> dict:
     faps = []
     for f in trace.faps:
@@ -301,38 +328,11 @@ def scenario_to_json(trace: ScenarioTrace) -> dict:
         else:
             entry["demand_schedule"] = [list(s) for s in f.demand.schedule]
         faps.append(entry)
-    v, c, m = trace.venue, trace.channel, trace.mobility
     return {
-        "venue": {
-            "x_max_m": v.x_max_m,
-            "y_max_m": v.y_max_m,
-            "z_max_m": v.z_max_m,
-            "min_separation_m": v.min_separation_m,
-            "min_altitude_m": v.min_altitude_m,
-        },
-        "channel": {
-            "carrier_frequency_hz": c.carrier_frequency_hz,
-            "noise_power_dbm": c.noise_power_dbm,
-            "bandwidth_hz": c.bandwidth_hz,
-            "mac_efficiency": c.mac_efficiency,
-            "max_tx_power_dbm": c.max_tx_power_dbm,
-            "rician_k_db": c.rician_k_db,
-        },
-        "mcs_overrides": [
-            {
-                "index": e.index,
-                "min_snr_db": e.min_snr_db,
-                "phy_rate_bps": e.phy_rate_bps,
-                "fair_share_bps": e.fair_share_bps,
-            }
-            for e in trace.mcs_overrides
-        ],
-        "mobility": {
-            "speed_min_mps": m.speed_min_mps,
-            "speed_max_mps": m.speed_max_mps,
-            "pause_s": m.pause_s,
-            "planar_z_m": m.planar_z_m,
-        },
+        "venue": _to_dict(trace.venue),
+        "channel": _to_dict(trace.channel),
+        "mcs_overrides": [_to_dict(e) for e in trace.mcs_overrides],
+        "mobility": _to_dict(trace.mobility),
         "faps": faps,
         "duration_s": trace.duration_s,
         "planning_period_s": trace.planning_period_s,
@@ -340,30 +340,31 @@ def scenario_to_json(trace: ScenarioTrace) -> dict:
     }
 
 
+_SCENARIO_KEYS = (
+    "venue", "channel", "mcs_overrides", "mobility", "faps", "duration_s",
+    "planning_period_s", "seed",
+)
+_FAP_KEYS = ("id", "waypoints", "demand_bps", "demand_schedule")
+
+
 def scenario_from_json(data: dict) -> ScenarioTrace:
     """Build a trace from the JSON schema; missing waypoints are regenerated.
 
-    Regeneration draws every FAP's waypoints from the stored seed in file
-    order, so a file without any waypoints reloads to the exact trace
-    `generate_rwm` would produce.
+    Every FAP's waypoints are drawn from the stored seed in file order and
+    replaced by the file's own where it has them, so a file without any
+    waypoints reloads to the exact trace `generate_rwm` would produce.
     """
-    venue = Venue(**data["venue"])
-    channel = ChannelParams(**data["channel"])
-    mobility = MobilityParams(**data.get("mobility", {}))
+    _reject_unknown("scenario", data, _SCENARIO_KEYS)
+    venue = _from_dict(Venue, data["venue"])
+    mobility = _from_dict(MobilityParams, data.get("mobility", {}))
     duration = float(data["duration_s"])
     seed = int(data.get("seed", 0))
-    overrides = tuple(
-        McsEntry(int(e["index"]), e["min_snr_db"], e["phy_rate_bps"], e["fair_share_bps"])
-        for e in data.get("mcs_overrides", [])
-    )
-
-    need_generation = any("waypoints" not in f for f in data["faps"])
     gen_rng = random.Random(seed)
     faps = []
     for entry in data["faps"]:
-        if need_generation:
-            wps = _random_waypoints(gen_rng, venue, mobility, duration)
-        else:
+        _reject_unknown(f"FAP {entry.get('id')}", entry, _FAP_KEYS)
+        wps = _random_waypoints(gen_rng, venue, mobility, duration)
+        if "waypoints" in entry:
             wps = tuple(tuple(float(v) for v in w) for w in entry["waypoints"])
         if "demand_bps" in entry:
             demand = DemandProfile(constant_bps=float(entry["demand_bps"]))
@@ -374,13 +375,13 @@ def scenario_from_json(data: dict) -> ScenarioTrace:
         faps.append(FapTrace(str(entry["id"]), wps, demand))
     return ScenarioTrace(
         venue=venue,
-        channel=channel,
+        channel=_from_dict(ChannelParams, data["channel"]),
         faps=tuple(faps),
         duration_s=duration,
         planning_period_s=float(data.get("planning_period_s", 5.0)),
         seed=seed,
         mobility=mobility,
-        mcs_overrides=overrides,
+        mcs_overrides=tuple(_from_dict(McsEntry, e) for e in data.get("mcs_overrides", [])),
     )
 
 

@@ -111,6 +111,11 @@ class SimMetrics:
         total = self.window_delivered + self.window_dropped
         return self.window_dropped / total if total else 0.0
 
+    def percentiles(self, p: float = 90.0) -> tuple[float, float]:
+        """p-th percentile delay (inf without delays), throughput exceeded by p% of seconds."""
+        delay = summarize(self.delay_samples_s).percentile(p) if self.delay_samples_s else math.inf
+        return delay, summarize(self.throughput_samples_bps).percentile(100.0 - p)
+
 
 # --- queue disciplines ----------------------------------------------------
 
@@ -442,7 +447,8 @@ def simulate(
         if in_window_lo <= delivered_at < duration:
             f.w_delivered += 1
             delay_samples.append(delivered_at - created)
-            thr_bins[int(delivered_at)] = thr_bins.get(int(delivered_at), 0.0) + bits_per_pkt
+            second = int(delivered_at - in_window_lo)
+            thr_bins[second] = thr_bins.get(second, 0.0) + bits_per_pkt
             f.w_bits += bits_per_pkt
         if record:
             records.append(
@@ -474,9 +480,7 @@ def simulate(
         else:
             toggle(faps[idx], now)
 
-    n_secs = int(round(config.measure_s))
-    lo = int(round(config.bootstrap_s))
-    samples = tuple(thr_bins.get(s, 0.0) for s in range(lo, lo + n_secs))
+    samples = tuple(thr_bins.get(s, 0.0) for s in range(int(round(config.measure_s))))
     return SimMetrics(
         label=config.effective_label,
         seed=config.seed,
@@ -585,8 +589,7 @@ def compare(
 
     rows: dict[str, dict] = {}
     for m in runs:
-        delay_p = summarize(m.delay_samples_s).percentile(percentile) if m.delay_samples_s else math.inf
-        thr_p = summarize(m.throughput_samples_bps).percentile(100.0 - percentile)
+        delay_p, thr_p = m.percentiles(percentile)
         rows[m.label] = {
             "p_delay_s": delay_p,
             "p_throughput_bps": thr_p,

@@ -42,7 +42,7 @@ from .scenario import (
     Snapshot,
     reference_fair_share_bps,
 )
-from .simulator import SimConfig, merge_metrics, simulate, summarize
+from .simulator import SimConfig, merge_metrics, simulate
 
 _SATURATED_DELAY_MAGNITUDE = 1e3
 
@@ -51,6 +51,9 @@ _SATURATED_DELAY_MAGNITUDE = 1e3
 # land on the bound plus or minus solver-precision jitter; magnitudes at or
 # below this are indistinguishable from that jitter and do not count.
 FEASIBILITY_TOL = 1e-6
+
+# run_benchmark gives up after this many candidate seeds per requested instance.
+_SEEDS_PER_INSTANCE = 100
 
 
 def _default_rate_model() -> RateModel:
@@ -403,7 +406,8 @@ def run_benchmark(
     """Plan and PSO-solve seeded static instances, then simulate both plans.
 
     Instance seeds count up from `base_seed`, skipping draws the planner
-    cannot serve, until `n_instances` plannable instances are collected.
+    cannot serve, until `n_instances` plannable instances are collected;
+    PlanningError when 100 candidate seeds per instance do not suffice.
     Delay is the p-th percentile of pooled per-packet delays; throughput the
     per-second value exceeded by p% of samples.
     """
@@ -421,6 +425,11 @@ def run_benchmark(
     found = 0
     candidate = base_seed
     while found < n_instances:
+        if candidate - base_seed >= _SEEDS_PER_INSTANCE * n_instances:
+            raise PlanningError(
+                f"only {found} of {n_instances} instances plannable among seeds "
+                f"{base_seed}..{candidate - 1}"
+            )
         seed = candidate
         candidate += 1
         snapshot = random_static_instance(seed, n_faps, venue, channel, demand_fractions)
@@ -460,13 +469,7 @@ def run_benchmark(
                 )
                 for r in range(sim_runs)
             ]
-            merged = merge_metrics(runs)
-            delay_p = (
-                summarize(merged.delay_samples_s).percentile(percentile)
-                if merged.delay_samples_s
-                else math.inf
-            )
-            thr_p = summarize(merged.throughput_samples_bps).percentile(100.0 - percentile)
+            delay_p, thr_p = merge_metrics(runs).percentiles(percentile)
             rows.append(
                 BenchmarkRow(
                     instance=instance,

@@ -198,3 +198,36 @@ def test_exit_io_on_unreadable_scenario(tmp_path):
         "--out", str(tmp_path / "p.json"),
     ])
     assert rc == 4
+
+
+@pytest.mark.parametrize("section", ["venue", "channel"])
+def test_exit_usage_names_unknown_scenario_key(tmp_path, capsys, section):
+    scenario = tmp_path / "s.json"
+    assert cli.main([
+        "generate", "--faps", "1", "--duration", "12", "--seed", "2",
+        "--out", str(scenario),
+    ]) == 0
+    data = json.loads(scenario.read_text())
+    data[section]["typo_key"] = 1.0
+    scenario.write_text(json.dumps(data))
+    rc = cli.main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "p.json")])
+    assert rc == 2
+    assert "typo_key" in capsys.readouterr().err
+
+
+def test_exit_usage_on_plan_entry_without_mcs(tmp_path, capsys):
+    scenario, plan = tmp_path / "s.json", tmp_path / "p.json"
+    assert cli.main([
+        "generate", "--faps", "1", "--duration", "12", "--seed", "2",
+        "--out", str(scenario),
+    ]) == 0
+    assert cli.main(["plan", "--scenario", str(scenario), "--out", str(plan)]) == 0
+    doc = json.loads(plan.read_text())
+    del doc["plans"][0]["faps"][0]["mcs"]
+    plan.write_text(json.dumps(doc))
+    rc = cli.main([
+        "simulate", "--scenario", str(scenario), "--plan", str(plan),
+        "--bootstrap", "2", "--measure", "1", "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 2
+    assert "mcs" in capsys.readouterr().err

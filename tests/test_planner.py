@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -336,3 +338,38 @@ def test_one_second_grid_is_zero_order_hold():
     # entries between planning instants repeat the latest plan
     assert doc["plans"][6]["fgw"] == doc["plans"][5]["fgw"]
     assert doc["plans"][6]["p_tx_dbm"] == doc["plans"][5]["p_tx_dbm"]
+
+
+def _random_demand_series(seed: int):
+    rng = random.Random(seed)
+    demands = [rng.uniform(10e6, 100e6) for _ in range(3)]
+    trace = generate_rwm(n_faps=3, duration_s=12.0, seed=seed, demands_bps=demands)
+    return trace, plan_series(trace, CFG)
+
+
+def test_fap_plans_read_back_equal_at_every_second():
+    for seed in (1, 2, 3, 4):
+        trace, series = _random_demand_series(seed)
+        doc = json.loads(json.dumps(plan_series_to_json(series, trace.duration_s)))
+        back = plan_series_from_json(doc)
+        for t in range(int(trace.duration_s)):
+            assert back.at(t).faps == series.at(t).faps
+
+
+def test_plan_file_without_demand_loads_rho_times_capacity():
+    trace, series = _random_demand_series(1)
+    doc = plan_series_to_json(series, trace.duration_s)
+    for entry in doc["plans"]:
+        for f in entry["faps"]:
+            del f["demand_bps"]
+    for plan in plan_series_from_json(doc).plans:
+        for f in plan.faps:
+            assert f.demand_bps == f.utilisation * f.capacity_bps
+
+
+def test_plan_file_missing_key_is_named():
+    trace, series = _random_demand_series(1)
+    doc = plan_series_to_json(series, trace.duration_s)
+    del doc["plans"][3]["faps"][0]["mcs"]
+    with pytest.raises(ValueError, match=r"missing keys \['mcs'\]"):
+        plan_series_from_json(doc)

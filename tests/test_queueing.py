@@ -172,3 +172,14 @@ def test_plr_curve_dips_at_resize_points():
 def test_plr_curve_uses_markov_consistent_values():
     for rho, q, plr in plr_curve([0.05 * k for k in range(2, 20)]):
         assert plr == pytest.approx(mm1q_blocking_oracle(rho, q), abs=1e-12)
+
+
+def test_mm1q_plr_above_saturation_does_not_overflow():
+    assert mm1q_plr(1.5, 5000) == pytest.approx(1.0 / 3.0)
+
+
+def test_mm1q_plr_above_saturation_matches_direct_formula():
+    rho, q = 1.5, 5
+    direct = (1.0 - rho) / (1.0 - rho ** (q + 1)) * rho**q
+    assert mm1q_plr(rho, q) == pytest.approx(direct, rel=1e-12)
+    assert mm1q_plr(rho, q) == pytest.approx(mm1q_blocking_oracle(rho, q), rel=1e-12)

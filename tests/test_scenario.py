@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from gpqm import (
     DemandProfile,
     FapTrace,
+    McsEntry,
     MobilityParams,
     ScenarioTrace,
     Venue,
@@ -272,3 +274,61 @@ def test_mcs_override_merging():
     assert table.entry(5).min_snr_db == 26.0
     assert table.entry(5).fair_share_bps == 130e6
     assert table.entry(7).fair_share_bps == 166e6
+
+
+# --- field-driven codec -------------------------------------------------------
+
+def _scheduled_planar_trace() -> ScenarioTrace:
+    """Two planar FAPs, one on a demand schedule, with one MCS override."""
+    base = generate_rwm(
+        n_faps=2, duration_s=30.0, seed=4, mobility=MobilityParams(planar_z_m=8.0)
+    )
+    scheduled = replace(base.faps[1], demand=DemandProfile(schedule=((0.0, 50e6), (10.0, 80e6))))
+    return replace(
+        base,
+        faps=(base.faps[0], scheduled),
+        mcs_overrides=(McsEntry(5, 26.0, 468e6, 130e6),),
+    )
+
+
+def test_scenario_json_round_trip_is_exact():
+    trace = _scheduled_planar_trace()
+    assert scenario_from_json(scenario_to_json(trace)) == trace
+    assert scenario_from_json(json.loads(json.dumps(scenario_to_json(trace)))) == trace
+
+
+def test_supplied_waypoints_kept_when_another_fap_lacks_them():
+    trace = generate_rwm(n_faps=2, duration_s=30.0, seed=5)
+    data = scenario_to_json(trace)
+    data["faps"][0]["waypoints"][0][1:] = [10.0, 10.0, 5.0]
+    del data["faps"][1]["waypoints"]
+    rebuilt = scenario_from_json(data)
+    assert rebuilt.faps[0].waypoints[0] == (0.0, 10.0, 10.0, 5.0)
+    assert rebuilt.faps[0].waypoints[1:] == trace.faps[0].waypoints[1:]
+    # fap1 is drawn from the seed after fap0, as generate_rwm draws it
+    assert rebuilt.faps[1].waypoints == trace.faps[1].waypoints
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        lambda d: d,
+        lambda d: d["venue"],
+        lambda d: d["channel"],
+        lambda d: d["mobility"],
+        lambda d: d["faps"][0],
+    ],
+    ids=["top", "venue", "channel", "mobility", "fap"],
+)
+def test_scenario_json_unknown_key_is_named(section):
+    data = scenario_to_json(generate_rwm(n_faps=1, duration_s=10.0, seed=1))
+    section(data)["x_max"] = 1.0
+    with pytest.raises(ValueError, match=r"unknown keys \['x_max'\]"):
+        scenario_from_json(data)
+
+
+def test_scenario_json_missing_override_key_is_named():
+    data = scenario_to_json(_scheduled_planar_trace())
+    del data["mcs_overrides"][0]["phy_rate_bps"]
+    with pytest.raises(ValueError, match=r"missing keys \['phy_rate_bps'\]"):
+        scenario_from_json(data)

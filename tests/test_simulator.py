@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 
@@ -346,3 +347,19 @@ def test_merge_pools_samples():
     assert len(merged.throughput_samples_bps) == 12
     assert merged.generated == a.generated + b.generated
     assert merged.window_dropped == a.window_dropped + b.window_dropped
+
+
+def test_percentiles_pair_delay_and_throughput():
+    m = run_single(80e6, measure_s=6.0)
+    delay, throughput = m.percentiles(90.0)
+    assert delay == summarize(m.delay_samples_s).percentile(90.0)
+    assert throughput == summarize(m.throughput_samples_bps).percentile(10.0)
+    assert replace(m, delay_samples_s=()).percentiles(90.0)[0] == math.inf
+
+
+def test_fractional_warmup_bins_the_measurement_window():
+    trace = generate_rwm(n_faps=3, duration_s=40.0, seed=6)
+    m = simulate(trace, SimConfig(bootstrap_s=0.5, measure_s=1.0,
+                                  placement="venue-center", queue="droptail"))
+    assert len(m.throughput_samples_bps) == 1
+    assert math.fsum(m.throughput_samples_bps) == 11200.0 * m.window_delivered

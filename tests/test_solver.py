@@ -9,6 +9,7 @@ power choice brackets the true optimum.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from gpqm import (
     FapState,
     OptProblem,
     PlannerConfig,
+    PlanningError,
     PsoParams,
     Snapshot,
     Venue,
@@ -328,3 +330,10 @@ def test_shannon_capacity_exceeds_discrete_rates():
     table = default_mcs_table(1, 1.0)
     for entry in table.entries:
         assert shannon_capacity_bps(CH.bandwidth_hz, entry.min_snr_db) > entry.phy_rate_bps
+
+
+def test_run_benchmark_gives_up_on_unplannable_seeds():
+    start = time.perf_counter()
+    with pytest.raises(PlanningError):
+        run_benchmark(n_instances=1, demand_fractions=(5.0,))
+    assert time.perf_counter() - start < 30.0
