@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .channel import ChannelParams, McsEntry, McsTable, default_mcs_table, max_distance_m
 from .errors import (
@@ -356,9 +356,11 @@ def plan_series_to_json(series: PlanSeries, duration_s: float | None = None) -> 
 
 
 def _fap_plan_from_json(entry: dict) -> FapPlan:
-    if "demand_bps" not in entry:  # plan files written before the demand was stored
-        entry = {**entry, "demand_bps": entry.get("rho", 0.0) * entry.get("capacity_bps", 0.0)}
-    return _from_dict(FapPlan, entry, _FAP_PLAN_KEYS)
+    if "demand_bps" in entry:
+        return _from_dict(FapPlan, entry, _FAP_PLAN_KEYS)
+    # plan files written before the demand was stored
+    plan = _from_dict(FapPlan, {**entry, "demand_bps": 0.0}, _FAP_PLAN_KEYS)
+    return replace(plan, demand_bps=plan.utilisation * plan.capacity_bps)
 
 
 def plan_series_from_json(data: dict) -> PlanSeries:

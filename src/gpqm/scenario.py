@@ -116,7 +116,10 @@ class FapState:
 
     def __post_init__(self) -> None:
         if self.demand_bps <= 0.0:
-            raise ValueError("demand must be positive")
+            raise ValueError(
+                f"FAP {self.fap_id} has demand {self.demand_bps} bit/s: a silent FAP "
+                "can be simulated but not planned"
+            )
 
 
 @dataclass(frozen=True)
@@ -304,8 +307,24 @@ def _reject_unknown(where: str, data: dict, known) -> None:
         raise ValueError(f"{where}: unknown keys {unknown}")
 
 
+# The field annotations the codec reads, and the JSON values each accepts.
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,)}
+
+
+def _check_type(cls, key: str, annotation: str, value) -> None:
+    base = annotation.removesuffix(" | None")
+    if value is None and base != annotation:
+        return
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[base]):
+        raise ValueError(f"{cls.__name__}: {key} must be {annotation}, not {value!r}")
+
+
 def _from_dict(cls, data: dict, rename: dict[str, str] | None = None):
-    """Inverse of `_to_dict`; unknown and missing keys raise a ValueError naming them."""
+    """Inverse of `_to_dict`.
+
+    Unknown keys, missing keys and values of the wrong type raise a ValueError
+    naming them; an int is accepted where a float is expected.
+    """
     rename = rename or {}
     keys = {rename.get(f.name, f.name): f for f in fields(cls)}
     _reject_unknown(cls.__name__, data, keys)
@@ -316,6 +335,8 @@ def _from_dict(cls, data: dict, rename: dict[str, str] | None = None):
     ]
     if missing:
         raise ValueError(f"{cls.__name__}: missing keys {missing}")
+    for k, v in data.items():
+        _check_type(cls, k, keys[k].type, v)
     return cls(**{keys[k].name: v for k, v in data.items()})
 
 

@@ -26,6 +26,13 @@ from .scenario import ScenarioTrace
 
 _TICK, _ARRIVAL, _DEPARTURE, _TOGGLE = 0, 1, 2, 3
 
+# RED drops early between a quarter and three quarters of the queue size.
+_RED_MAX_P = 0.1
+_RED_WEIGHT = 0.002
+_CODEL_TARGET_S = 0.005
+_CODEL_INTERVAL_S = 0.1
+_CODEL_LIMIT_PKTS = 1000
+
 PLACEMENTS = ("gpqm", "centroid", "venue-center", "fixed")
 QUEUES = ("scheduled", "droptail", "red", "codel")
 TRAFFIC_MODELS = ("poisson", "onoff", "aimd")
@@ -48,13 +55,6 @@ class SimConfig:
     packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES
     record_packets: bool = False
     label: str | None = None
-    # RED knobs; thresholds default to queue_size/4 and 3*queue_size/4.
-    red_max_p: float = 0.1
-    red_weight: float = 0.002
-    # CoDel knobs.
-    codel_target_s: float = 0.005
-    codel_interval_s: float = 0.1
-    codel_limit_pkts: int = 1000
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENTS:
@@ -141,34 +141,34 @@ class DropTailQueue:
 class RedQueue(DropTailQueue):
     """Random early detection on an EWMA of the occupancy, over a hard cap."""
 
-    def __init__(self, limit: int, max_p: float, weight: float, rng: random.Random):
+    def __init__(self, limit: int, rng: random.Random):
         super().__init__(limit)
         self.min_th = limit / 4.0
         self.max_th = 3.0 * limit / 4.0
-        self.max_p = max_p
-        self.weight = weight
         self.rng = rng
         self.avg = 0.0
 
     def admit(self, now: float, in_system: int) -> bool:
-        self.avg = (1.0 - self.weight) * self.avg + self.weight * in_system
+        self.avg = (1.0 - _RED_WEIGHT) * self.avg + _RED_WEIGHT * in_system
         if in_system >= self.limit:
             return False
         if self.avg < self.min_th:
             return True
         if self.avg >= self.max_th:
             return False
-        p_drop = self.max_p * (self.avg - self.min_th) / (self.max_th - self.min_th)
+        p_drop = _RED_MAX_P * (self.avg - self.min_th) / (self.max_th - self.min_th)
         return self.rng.random() >= p_drop
 
 
 class CoDelQueue(DropTailQueue):
-    """Sojourn-controlled queue: drops at dequeue while delay stays above target."""
+    """Sojourn-controlled queue: drops at dequeue while delay stays above target.
 
-    def __init__(self, limit: int, target_s: float, interval_s: float):
-        super().__init__(limit)
-        self.target = target_s
-        self.interval = interval_s
+    Follows the ACM Queue 2012 pseudo-code (Nichols & Jacobson), which resumes
+    from `count - 2` within 8 intervals, not RFC 8289's `lastcount` form.
+    """
+
+    def __init__(self):
+        super().__init__(_CODEL_LIMIT_PKTS)
         self.first_above = 0.0
         self.dropping = False
         self.drop_next = 0.0
@@ -180,11 +180,11 @@ class CoDelQueue(DropTailQueue):
             return None, False
         pkt = self.items.popleft()
         sojourn = now - pkt[1]
-        if sojourn < self.target:
+        if sojourn < _CODEL_TARGET_S:
             self.first_above = 0.0
             return pkt, False
         if self.first_above == 0.0:
-            self.first_above = now + self.interval
+            self.first_above = now + _CODEL_INTERVAL_S
             return pkt, False
         return pkt, now >= self.first_above
 
@@ -202,17 +202,17 @@ class CoDelQueue(DropTailQueue):
                     if not ok_to_drop:
                         self.dropping = False
                     else:
-                        self.drop_next += self.interval / math.sqrt(self.count)
+                        self.drop_next += _CODEL_INTERVAL_S / math.sqrt(self.count)
         elif ok_to_drop:
             dropped.append(pkt)
             pkt, _ = self._dodequeue(now)
             self.dropping = True
             delta = self.count - 2
-            if delta > 1 and now - self.drop_next < 8.0 * self.interval:
+            if delta > 1 and now - self.drop_next < 8.0 * _CODEL_INTERVAL_S:
                 self.count = delta
             else:
                 self.count = 1
-            self.drop_next = now + self.interval / math.sqrt(self.count)
+            self.drop_next = now + _CODEL_INTERVAL_S / math.sqrt(self.count)
         return pkt, tuple(dropped)
 
 
@@ -220,40 +220,53 @@ class CoDelQueue(DropTailQueue):
 
 
 class _Fap:
-    def __init__(self, idx: int, trace_fap, queue, arr_rng, srv_rng, fade_rng):
-        self.idx = idx
+    def __init__(self, i: int, trace_fap, config: SimConfig):
+        base = config.seed * 1_000_003
         self.trace = trace_fap
-        self.queue = queue
-        self.arr_rng = arr_rng
-        self.srv_rng = srv_rng
-        self.fade_rng = fade_rng
-        self.busy = False
+        self.queue = _queue(config, base, i)
+        self.arr_rng = random.Random(base + 2 * i)
+        self.srv_rng = random.Random(base + 2 * i + 1)
+        self.fade_rng = random.Random(base + 700_000 + i)
         self.serving = None
         self.rate_bps = 0.0
         self.prop_s = 0.0
-        # source state
-        self.poisson_pps = 0.0
-        self.on = True
-        self.epoch = 0
-        self.aimd_rate_bps = 0.0
-        self.aimd_max_bps = 0.0
-        # counters
+        demand0 = trace_fap.demand.at(0.0)
+        self.poisson_pps = demand0 / (8.0 * config.packet_size_bytes)
+        self.epoch = 0  # on/off toggles; the source is on in even epochs
+        self.aimd_max_bps = demand0
+        self.aimd_rate_bps = demand0 / 2.0
         self.generated = 0
         self.delivered = 0
         self.dropped = 0
         self.w_generated = 0
         self.w_delivered = 0
         self.w_dropped = 0
-        self.w_bits = 0.0
 
 
-def _positions_centroid(states) -> tuple[float, float, float]:
-    n = len(states)
-    return (
-        sum(p[0] for p in states) / n,
-        sum(p[1] for p in states) / n,
-        sum(p[2] for p in states) / n,
-    )
+def _queue(config: SimConfig, base: int, i: int) -> DropTailQueue:
+    if config.queue == "red":
+        return RedQueue(config.queue_size, random.Random(base + 800_000 + i))
+    if config.queue == "codel":
+        return CoDelQueue()
+    return DropTailQueue(config.queue_size)  # scheduled takes the plan's limits at each tick
+
+
+def _tick_setting(config: SimConfig, trace: ScenarioTrace, plan, now: float):
+    """Gateway position, transmit power and per-FAP queue limits (or None) at a tick."""
+    if config.placement == "gpqm":
+        cur = plan.at(now)
+        sched = {fp.fap_id: fp.queue_pkts for fp in cur.faps} if config.queue == "scheduled" else None
+        return cur.fgw_position, cur.tx_power_dbm, sched
+    venue = trace.venue
+    if config.placement == "venue-center":
+        fgw = (venue.x_max_m / 2.0, venue.y_max_m / 2.0, venue.z_max_m / 2.0)
+    elif config.placement == "fixed":
+        fgw = config.fixed_position
+    else:  # centroid, refreshed on the planning grid like the planner
+        t_grid = math.floor(now / trace.planning_period_s) * trace.planning_period_s
+        points = [f.position_at(t_grid) for f in trace.faps]
+        fgw = tuple(sum(p[k] for p in points) / len(points) for k in range(3))
+    return fgw, config.baseline_tx_power_dbm, None
 
 
 def simulate(
@@ -264,7 +277,6 @@ def simulate(
 ) -> SimMetrics:
     """Run one seeded simulation of a scenario and return its metrics."""
     channel = trace.channel
-    venue = trace.venue
     duration = config.bootstrap_s + config.measure_s
     if trace.duration_s + 1e-9 < duration:
         raise ValueError(
@@ -282,51 +294,39 @@ def simulate(
         table = trace.mcs_table()
 
     bits_per_pkt = 8.0 * config.packet_size_bytes
-    base = config.seed * 1_000_003
-    faps: list[_Fap] = []
-    for i, tf in enumerate(trace.faps):
-        arr_rng = random.Random(base + 2 * i)
-        srv_rng = random.Random(base + 2 * i + 1)
-        fade_rng = random.Random(base + 700_000 + i)
-        if config.queue == "red":
-            q = RedQueue(
-                config.queue_size, config.red_max_p, config.red_weight,
-                random.Random(base + 800_000 + i),
-            )
-        elif config.queue == "codel":
-            q = CoDelQueue(config.codel_limit_pkts, config.codel_target_s, config.codel_interval_s)
-        else:  # scheduled starts from the plan at t=0; droptail is static
-            q = DropTailQueue(config.queue_size)
-        faps.append(_Fap(i, tf, q, arr_rng, srv_rng, fade_rng))
+    faps = [_Fap(i, tf, config) for i, tf in enumerate(trace.faps)]
+    traffic = config.traffic
+    deterministic = config.service_mode == "deterministic"
 
+    # Entries are (t, seq, kind, fap, epoch); seq is unique, so ties never
+    # compare FAPs and equal times pop in the order they were pushed.
     heap: list = []
     seq = 0
 
-    def push(t: float, kind: int, idx: int, epoch: int = 0) -> None:
+    def push(t: float, kind: int, f: _Fap | None, epoch: int = 0) -> None:
         nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, idx, epoch))
+        heapq.heappush(heap, (t, seq, kind, f, epoch))
         seq += 1
 
-    for tb in range(int(math.ceil(duration))):
-        push(float(tb), _TICK, -1)
-
-    # source initialisation; a zero demand leaves the source silent
-    for f in faps:
-        demand0 = f.trace.demand.at(0.0)
-        if config.traffic == "poisson":
-            f.poisson_pps = demand0 / bits_per_pkt
+    def schedule_arrival(f: _Fap, now: float) -> None:
+        """Push the source's next arrival after `now`; a zero rate leaves it silent."""
+        if traffic == "poisson":
             if f.poisson_pps > 0.0:
-                push(f.arr_rng.expovariate(f.poisson_pps), _ARRIVAL, f.idx)
-        elif config.traffic == "onoff":
-            if demand0 > 0.0:
-                f.on = True
-                push(f.arr_rng.expovariate(2.0), _TOGGLE, f.idx)
-                push(bits_per_pkt / demand0, _ARRIVAL, f.idx, f.epoch)
-        else:  # aimd
-            f.aimd_max_bps = demand0
-            f.aimd_rate_bps = demand0 / 2.0
-            if f.aimd_rate_bps > 0.0:
-                push(bits_per_pkt / f.aimd_rate_bps, _ARRIVAL, f.idx)
+                push(now + f.arr_rng.expovariate(f.poisson_pps), _ARRIVAL, f)
+        elif traffic == "onoff":
+            if f.epoch % 2 == 0:
+                rate = f.trace.demand.at(now)
+                if rate > 0.0:
+                    push(now + bits_per_pkt / rate, _ARRIVAL, f, f.epoch)
+        elif f.aimd_rate_bps > 0.0:
+            push(now + bits_per_pkt / f.aimd_rate_bps, _ARRIVAL, f)
+
+    for tb in range(int(math.ceil(duration))):
+        push(float(tb), _TICK, None)
+    for f in faps:
+        if traffic == "onoff" and f.trace.demand.at(0.0) > 0.0:
+            push(f.arr_rng.expovariate(2.0), _TOGGLE, f)
+        schedule_arrival(f, 0.0)
 
     thr_bins: dict[int, float] = {}
     delay_samples: list[float] = []
@@ -338,63 +338,29 @@ def simulate(
         f.dropped += 1
         if in_window_lo <= now < duration:
             f.w_dropped += 1
-        if config.traffic == "aimd":
+        if traffic == "aimd":
             f.aimd_rate_bps = max(f.aimd_rate_bps * 0.5, bits_per_pkt)
         if record:
             records.append(PacketRecord(f.trace.fap_id, created, None, True, None))
 
-    def start_service(f: _Fap, pkt, now: float) -> None:
-        f.busy = True
-        f.serving = pkt
-        if config.service_mode == "deterministic":
-            st = bits_per_pkt / f.rate_bps
-        else:
-            st = f.srv_rng.expovariate(f.rate_bps / bits_per_pkt)
-        push(now + st, _DEPARTURE, f.idx)
-
-    def try_serve(f: _Fap, now: float) -> None:
-        if f.busy or f.rate_bps <= 0.0:
+    def serve(f: _Fap, now: float) -> None:
+        """Start the next packet's service if the server is idle and the link is up."""
+        if f.serving is not None or f.rate_bps <= 0.0:
             return
         pkt, codel_drops = f.queue.pull(now)
         for dpkt in codel_drops:
             note_drop(f, dpkt[0], now)
-        if pkt is not None:
-            start_service(f, pkt, now)
-
-    def schedule_next_arrival(f: _Fap, now: float) -> None:
-        if config.traffic == "poisson":
-            if f.poisson_pps > 0.0:
-                push(now + f.arr_rng.expovariate(f.poisson_pps), _ARRIVAL, f.idx)
-        elif config.traffic == "onoff":
-            if f.on:
-                rate = f.trace.demand.at(now)
-                if rate > 0.0:
-                    push(now + bits_per_pkt / rate, _ARRIVAL, f.idx, f.epoch)
+        if pkt is None:
+            return
+        f.serving = pkt
+        if deterministic:
+            st = bits_per_pkt / f.rate_bps
         else:
-            if f.aimd_rate_bps > 0.0:
-                push(now + bits_per_pkt / f.aimd_rate_bps, _ARRIVAL, f.idx)
-
-    k_db = channel.rician_k_db
+            st = f.srv_rng.expovariate(f.rate_bps / bits_per_pkt)
+        push(now + st, _DEPARTURE, f)
 
     def tick(now: float) -> None:
-        if config.placement == "gpqm":
-            cur = plan.at(now)
-            fgw = cur.fgw_position
-            tx = cur.tx_power_dbm
-            sched = {fp.fap_id: fp.queue_pkts for fp in cur.faps} if config.queue == "scheduled" else None
-        else:
-            tx = config.baseline_tx_power_dbm
-            sched = None
-            if config.placement == "venue-center":
-                fgw = (venue.x_max_m / 2.0, venue.y_max_m / 2.0, venue.z_max_m / 2.0)
-            elif config.placement == "fixed":
-                fgw = config.fixed_position
-            else:  # centroid, refreshed on the planning grid like the planner
-                t_grid = math.floor(now / trace.planning_period_s) * trace.planning_period_s
-                fgw = _positions_centroid(
-                    [f.trace.position_at(t_grid) for f in faps]
-                )
-
+        fgw, tx, sched = _tick_setting(config, trace, plan, now)
         selected = []
         for f in faps:
             pos = f.trace.position_at(now)
@@ -402,46 +368,44 @@ def simulate(
             f.prop_s = d / SPEED_OF_LIGHT_MPS
             snr = friis_snr_db(channel, tx, d)
             if config.fading:
-                snr = rician_snr_sample(snr, k_db, f.fade_rng)
+                snr = rician_snr_sample(snr, channel.rician_k_db, f.fade_rng)
             mcs = table.for_snr(snr)
             selected.append(mcs)
             f.rate_bps = mcs.fair_share_bps if mcs is not None else 0.0
 
-        if config.channel_mode == "shared":
-            chosen = [m for m in selected if m is not None]
-            if chosen:
-                cap = channel.mac_efficiency * max(m.phy_rate_bps for m in chosen)
-                total = sum(f.rate_bps for f in faps)
-                if total > cap:
-                    scale = cap / total
-                    for f in faps:
-                        f.rate_bps *= scale
+        phy_rates = [m.phy_rate_bps for m in selected if m is not None]
+        if config.channel_mode == "shared" and phy_rates:
+            cap = channel.mac_efficiency * max(phy_rates)
+            total = sum(f.rate_bps for f in faps)
+            if total > cap:
+                scale = cap / total
+                for f in faps:
+                    f.rate_bps *= scale
 
         for f in faps:
             if sched is not None:
                 f.queue.limit = sched[f.trace.fap_id]
-            if config.traffic == "poisson":
+            if traffic == "poisson":
                 f.poisson_pps = f.trace.demand.at(now) / bits_per_pkt
-            try_serve(f, now)
+            serve(f, now)
 
     def arrival(f: _Fap, now: float, epoch: int) -> None:
-        if config.traffic == "onoff" and epoch != f.epoch:
+        if epoch != f.epoch:  # sent in an on/off period that has ended
             return
         f.generated += 1
         if in_window_lo <= now < duration:
             f.w_generated += 1
-        in_system = len(f.queue.items) + (1 if f.busy else 0)
+        in_system = len(f.queue.items) + (1 if f.serving is not None else 0)
         if f.queue.admit(now, in_system):
             f.queue.push(now, now)
-            try_serve(f, now)
+            serve(f, now)
         else:
             note_drop(f, now, now)
-        schedule_next_arrival(f, now)
+        schedule_arrival(f, now)
 
     def departure(f: _Fap, now: float) -> None:
         created, _enq = f.serving
         f.serving = None
-        f.busy = False
         delivered_at = now + f.prop_s
         f.delivered += 1
         if in_window_lo <= delivered_at < duration:
@@ -449,36 +413,31 @@ def simulate(
             delay_samples.append(delivered_at - created)
             second = int(delivered_at - in_window_lo)
             thr_bins[second] = thr_bins.get(second, 0.0) + bits_per_pkt
-            f.w_bits += bits_per_pkt
         if record:
             records.append(
                 PacketRecord(f.trace.fap_id, created, delivered_at, False, delivered_at - created)
             )
-        if config.traffic == "aimd":
+        if traffic == "aimd":
             f.aimd_rate_bps = min(f.aimd_rate_bps + bits_per_pkt, f.aimd_max_bps)
-        try_serve(f, now)
+        serve(f, now)
 
     def toggle(f: _Fap, now: float) -> None:
-        f.on = not f.on
         f.epoch += 1
-        push(now + f.arr_rng.expovariate(2.0), _TOGGLE, f.idx)
-        if f.on:
-            rate = f.trace.demand.at(now)
-            if rate > 0.0:
-                push(now + bits_per_pkt / rate, _ARRIVAL, f.idx, f.epoch)
+        push(now + f.arr_rng.expovariate(2.0), _TOGGLE, f)
+        schedule_arrival(f, now)
 
     while heap:
-        now, _, kind, idx, epoch = heapq.heappop(heap)
+        now, _, kind, f, epoch = heapq.heappop(heap)
         if now >= duration:
             break
         if kind == _TICK:
             tick(now)
         elif kind == _ARRIVAL:
-            arrival(faps[idx], now, epoch)
+            arrival(f, now, epoch)
         elif kind == _DEPARTURE:
-            departure(faps[idx], now)
+            departure(f, now)
         else:
-            toggle(faps[idx], now)
+            toggle(f, now)
 
     samples = tuple(thr_bins.get(s, 0.0) for s in range(int(round(config.measure_s))))
     return SimMetrics(
@@ -491,12 +450,13 @@ def simulate(
         generated=sum(f.generated for f in faps),
         delivered=sum(f.delivered for f in faps),
         dropped=sum(f.dropped for f in faps),
-        residual=sum(len(f.queue.items) + (1 if f.busy else 0) for f in faps),
+        residual=sum(len(f.queue.items) + (f.serving is not None) for f in faps),
         window_generated=sum(f.w_generated for f in faps),
         window_delivered=sum(f.w_delivered for f in faps),
         window_dropped=sum(f.w_dropped for f in faps),
+        # exact: every delivered packet adds the same whole number of bits
         per_fap_goodput_bps={
-            f.trace.fap_id: f.w_bits / config.measure_s for f in faps
+            f.trace.fap_id: f.w_delivered * bits_per_pkt / config.measure_s for f in faps
         },
         packets=tuple(records),
     )

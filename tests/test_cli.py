@@ -231,3 +231,33 @@ def test_exit_usage_on_plan_entry_without_mcs(tmp_path, capsys):
     ])
     assert rc == 2
     assert "mcs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("venue", "x_max_m", "100"), ("channel", "noise_power_dbm", "-85")],
+)
+def test_exit_usage_names_wrong_typed_scenario_value(tmp_path, capsys, section, key, value):
+    scenario = tmp_path / "s.json"
+    assert cli.main([
+        "generate", "--faps", "1", "--duration", "12", "--seed", "2",
+        "--out", str(scenario),
+    ]) == 0
+    data = json.loads(scenario.read_text())
+    data[section][key] = value
+    scenario.write_text(json.dumps(data))
+    rc = cli.main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "p.json")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def test_exit_usage_names_silent_fap_when_planning(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    assert cli.main([
+        "generate", "--faps", "2", "--duration", "12", "--seed", "2",
+        "--demand", "50e6", "--demand", "0", "--out", str(scenario),
+    ]) == 0
+    rc = cli.main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "p.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "FAP fap1" in err and "silent" in err

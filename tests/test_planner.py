@@ -373,3 +373,15 @@ def test_plan_file_missing_key_is_named():
     del doc["plans"][3]["faps"][0]["mcs"]
     with pytest.raises(ValueError, match=r"missing keys \['mcs'\]"):
         plan_series_from_json(doc)
+
+
+@pytest.mark.parametrize("with_demand", [True, False], ids=["current", "without-demand"])
+def test_plan_file_wrong_type_is_named(with_demand):
+    trace, series = _random_demand_series(1)
+    doc = plan_series_to_json(series, trace.duration_s)
+    entry = doc["plans"][2]["faps"][1]
+    if not with_demand:
+        del entry["demand_bps"]
+    entry["rho"] = "0.5"
+    with pytest.raises(ValueError, match=r"FapPlan: rho must be float"):
+        plan_series_from_json(doc)

@@ -332,3 +332,30 @@ def test_scenario_json_missing_override_key_is_named():
     del data["mcs_overrides"][0]["phy_rate_bps"]
     with pytest.raises(ValueError, match=r"missing keys \['phy_rate_bps'\]"):
         scenario_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("venue", "x_max_m", "100", r"Venue: x_max_m must be float"),
+        ("channel", "noise_power_dbm", "-85", r"ChannelParams: noise_power_dbm must be float"),
+        ("channel", "bandwidth_hz", True, r"ChannelParams: bandwidth_hz must be float"),
+        ("mobility", "planar_z_m", "5", r"MobilityParams: planar_z_m must be float \| None"),
+        ("mcs_overrides", "index", 5.0, r"McsEntry: index must be int"),
+    ],
+)
+def test_scenario_json_wrong_type_is_named(section, key, value, named):
+    data = scenario_to_json(_scheduled_planar_trace())
+    target = data[section][0] if section == "mcs_overrides" else data[section]
+    target[key] = value
+    with pytest.raises(ValueError, match=named):
+        scenario_from_json(data)
+
+
+def test_scenario_json_accepts_int_for_float_and_null_for_optional():
+    data = scenario_to_json(_scheduled_planar_trace())
+    data["venue"]["x_max_m"] = 100
+    data["mobility"]["planar_z_m"] = None
+    trace = scenario_from_json(data)
+    assert trace.venue.x_max_m == 100.0
+    assert trace.mobility.planar_z_m is None

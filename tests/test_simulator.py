@@ -8,6 +8,7 @@ landing in the 526.5 Mbit/s PHY entry, whose single-contender share is
 
 from __future__ import annotations
 
+import hashlib
 import math
 import statistics
 from dataclasses import replace
@@ -57,7 +58,7 @@ def static_trace(demand_bps: float, duration_s: float, n_faps: int = 1,
     )
 
 
-def run_single(demand_bps: float, **kw) -> "SimMetrics":
+def run_single(demand_bps: float, plan=None, **kw) -> "SimMetrics":
     defaults = dict(
         bootstrap_s=2.0,
         measure_s=10.0,
@@ -71,7 +72,7 @@ def run_single(demand_bps: float, **kw) -> "SimMetrics":
     defaults.update(kw)
     cfg = SimConfig(**defaults)
     trace = static_trace(demand_bps, cfg.bootstrap_s + cfg.measure_s)
-    return simulate(trace, cfg)
+    return simulate(trace, cfg, plan=plan)
 
 
 # --- trivial cases ----------------------------------------------------------
@@ -133,9 +134,12 @@ def test_deterministic_service_loses_less_than_exponential():
 # --- invariants -------------------------------------------------------------
 
 def test_conservation_exact():
-    for traffic in ("poisson", "onoff", "aimd"):
-        m = run_single(100e6, traffic=traffic, queue_size=20, measure_s=6.0)
-        assert m.generated == m.delivered + m.dropped + m.residual
+    plan = plan_series(static_trace(100e6, 8.0), PlannerConfig())  # read by "scheduled"
+    for queue in ("scheduled", "droptail", "red", "codel"):
+        for traffic in ("poisson", "onoff", "aimd"):
+            m = run_single(100e6, plan=plan, traffic=traffic, queue=queue, queue_size=20,
+                           measure_s=6.0)
+            assert m.generated == m.delivered + m.dropped + m.residual, (queue, traffic)
 
 
 def test_queue_bound_caps_sojourn():
@@ -363,3 +367,83 @@ def test_fractional_warmup_bins_the_measurement_window():
                                   placement="venue-center", queue="droptail"))
     assert len(m.throughput_samples_bps) == 1
     assert math.fsum(m.throughput_samples_bps) == 11200.0 * m.window_delivered
+
+
+# --- golden outputs ---------------------------------------------------------
+# One SHA-256 of every SimMetrics field, packet records included, per cell.
+# A change to the engine that reorders events or RNG draws changes them, so a
+# refactor of the engine must leave them as they are.
+
+GOLDEN_WINDOW = dict(bootstrap_s=0.5, measure_s=1.0, record_packets=True)
+
+GOLDEN_CELLS = {
+    **{
+        f"{queue}-{traffic}": ("rwm", dict(queue=queue, traffic=traffic, queue_size=8))
+        for queue in ("scheduled", "droptail", "red", "codel")
+        for traffic in ("poisson", "onoff", "aimd")
+    },
+    "shared-nofade": ("rwm", dict(queue="droptail", channel_mode="shared", fading=False)),
+    "exponential": ("rwm", dict(queue="droptail", service_mode="exponential")),
+    "centroid": ("rwm", dict(placement="centroid", queue="droptail")),
+    "venue-center": ("rwm", dict(placement="venue-center", queue="droptail")),
+    **{
+        f"silent-{traffic}": (
+            "silent", dict(placement="venue-center", queue="droptail", traffic=traffic))
+        for traffic in ("poisson", "onoff", "aimd")
+    },
+    **{
+        f"schedule-{traffic}": ("schedule", dict(traffic=traffic))
+        for traffic in ("poisson", "onoff", "aimd")
+    },
+}
+
+GOLDEN_SHA256 = {
+    "centroid": "b578e6df94ee116610a0c56dc0955a37729ba4c1b03587ba59c4746c5fc2fafc",
+    "codel-aimd": "20f7539f705e8460070178c9b49df4e9bb3ef06798baea378a50cf1c2636c5eb",
+    "codel-onoff": "7b0fcce983fb48f45d7cd20f5ffd153c166c11b143b257ba92ed385461bd66da",
+    "codel-poisson": "964169b1cc6f848b378b428b196fe578619b3a9835f0f090d0b00b4bb7e981cb",
+    "droptail-aimd": "b6944d93f6b2ddac92eec1c96fef3c90af2361c2927138db3304f5982d0eeecc",
+    "droptail-onoff": "a68d0c17da15fd5634b9d749b85fadc4847a1c23884f359d797c462751fb8579",
+    "droptail-poisson": "bbe6303320b077cb94d70400ce7cef02b4756f177c9067575b1d6a94d5199cf7",
+    "exponential": "88f8c7cd5fb24f270395878e2fb406f493672834cea1d1fd1046c61dbb764243",
+    "red-aimd": "c6694ebe66d5072730541eee09e03275b0709ed51a7b11edc01a7d3da20f7558",
+    "red-onoff": "91d1319fdce8255458a64cca62ced9cdc98b552941bbde8da9675ef27753d70b",
+    "red-poisson": "52bea06494973452d2b7d2bfb2fe8d4098000ed9375545694ad12384422ab471",
+    "schedule-aimd": "4200eb0968538baf75765cee9b7f9cf558cf36ba9779a5894330113abbf032cb",
+    "schedule-onoff": "238025e47cab4799e416cd0a981132ff77a6288928aceb6b888134db1924b42a",
+    "schedule-poisson": "474988d1af98fc3f5c461acfbbeb048bcff780ad578eb16d015d071512a63343",
+    "scheduled-aimd": "21c704e2e8d3e5773451ec9b885d540ae7f32c4d5c6cb39e5d2916d88a88cef5",
+    "scheduled-onoff": "7cba7ad7154834ea85f805a7bce7ae8033c6c4b31e84322f889cf8bd3bede4ad",
+    "scheduled-poisson": "8ef961b0f3014b087adb51c1b112f44a58bd7629532e57b1dd75d8917621d941",
+    "shared-nofade": "aeb4e4dd2c22e2bb826bb9600d219a60473b01d93e973b45f6a0a44f2c6a8957",
+    "silent-aimd": "7ca5d208ee12420832946fce79ac7d1f83f20ad76d1cf5a27b494f14ea71f453",
+    "silent-onoff": "e9711efe16da730041346dca6d326a74fe4a1f0cea558f6b888d9d2e8e79e040",
+    "silent-poisson": "5b488afbdeb4c448fa32044c9b6018c1f72f1d49c7767296e8c3a94b54c1b914",
+    "venue-center": "fd8d25f9c5c3af8cba2ae2245bd593e70eede31d19bf4d714b6b8b971c7bd78b",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_inputs() -> dict:
+    rwm = generate_rwm(n_faps=3, duration_s=2.0, seed=6, planning_period_s=1.0)
+
+    def with_fap0(demand: DemandProfile) -> ScenarioTrace:
+        return replace(rwm, faps=(replace(rwm.faps[0], demand=demand), *rwm.faps[1:]))
+
+    schedule = with_fap0(DemandProfile(schedule=((0.0, 40e6), (0.7, 120e6), (1.3, 20e6))))
+    return {
+        "rwm": (rwm, plan_series(rwm, PlannerConfig())),
+        "silent": (with_fap0(DemandProfile(constant_bps=0.0)), None),
+        "schedule": (schedule, plan_series(schedule, PlannerConfig())),
+    }
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
+def test_golden_outputs(golden_inputs, cell):
+    kind, kw = GOLDEN_CELLS[cell]
+    trace, plan = golden_inputs[kind]
+    m = simulate(trace, SimConfig(**GOLDEN_WINDOW, **kw), plan=plan)
+    # Tuples of the records' fields repr faster than the dataclasses themselves.
+    rows = [(p.fap_id, p.created_s, p.delivered_s, p.dropped, p.delay_s) for p in m.packets]
+    digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
+    assert digest == GOLDEN_SHA256[cell]
