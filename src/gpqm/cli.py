@@ -201,6 +201,8 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    if args.runs < 1:
+        raise ValueError("--runs must be at least 1")
     trace = load_scenario(args.scenario)
     plan = None
     if args.plan is not None:

@@ -29,13 +29,7 @@ from .placement import (
     compute_fgw_pos,
     feasibility_margin,
 )
-from .queueing import (
-    DEFAULT_PACKET_SIZE_BYTES,
-    md1_delay_s,
-    mm1q_plr,
-    planned_queue_size,
-    rates_from_traffic,
-)
+from .queueing import md1_delay_s, mm1q_plr, planned_queue_size, rates_from_traffic
 from .scenario import ScenarioTrace, Snapshot, _from_dict, _to_dict
 
 SLACK_TOL_M = 1e-9
@@ -47,7 +41,6 @@ class PlannerConfig:
     power_step_db: float = 1.0
     min_tx_power_dbm: float = 0.0
     update_period_s: float = 5.0
-    packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES
 
     def __post_init__(self) -> None:
         if self.delay_threshold_s <= 0.0:
@@ -96,9 +89,7 @@ def _escalated_targets(
     for fap in snapshot.faps:
         entry = table.for_demand(fap.demand_bps)
         while True:
-            _, mu, rho = rates_from_traffic(
-                fap.demand_bps, entry.fair_share_bps, config.packet_size_bytes
-            )
+            _, mu, rho = rates_from_traffic(fap.demand_bps, entry.fair_share_bps)
             if rho < 1.0 and md1_delay_s(rho, mu) < config.delay_threshold_s:
                 break
             nxt = table.next_entry(entry.index)
@@ -162,9 +153,7 @@ def plan_snapshot(
 
     fap_plans = []
     for fap, entry in zip(snapshot.faps, targets):
-        _, mu, rho = rates_from_traffic(
-            fap.demand_bps, entry.fair_share_bps, config.packet_size_bytes
-        )
+        _, mu, rho = rates_from_traffic(fap.demand_bps, entry.fair_share_bps)
         queue = planned_queue_size(rho)
         fap_plans.append(
             FapPlan(
@@ -219,14 +208,9 @@ class PlanSeries:
         return self.plans[idx]
 
 
-def plan_series(
-    trace: ScenarioTrace,
-    config: PlannerConfig,
-    table: McsTable | None = None,
-) -> PlanSeries:
-    """Plan every snapshot of a trace; infeasibility is tagged with its time."""
-    if table is None:
-        table = trace.mcs_table()
+def plan_series(trace: ScenarioTrace, config: PlannerConfig) -> PlanSeries:
+    """Plan every snapshot against the trace's MCS ladder; infeasibility is tagged with its time."""
+    table = trace.mcs_table()
     plans = []
     for snap in trace.snapshots():
         try:

@@ -311,12 +311,24 @@ def _reject_unknown(where: str, data: dict, known) -> None:
 _JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,)}
 
 
-def _check_type(cls, key: str, annotation: str, value) -> None:
+def _check_type(where: str, key: str, annotation: str, value) -> None:
     base = annotation.removesuffix(" | None")
     if value is None and base != annotation:
         return
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[base]):
-        raise ValueError(f"{cls.__name__}: {key} must be {annotation}, not {value!r}")
+        raise ValueError(f"{where}: {key} must be {annotation}, not {value!r}")
+
+
+def _rows(where: str, key: str, rows, width: int) -> tuple[tuple[float, ...], ...]:
+    """A list of rows of `width` numbers each, as tuples of floats."""
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"{where}: {key} must be a list of rows, not {rows!r}")
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise ValueError(f"{where}: each {key} row must hold {width} numbers, not {row!r}")
+        for v in row:
+            _check_type(where, key, "float", v)
+    return tuple(tuple(float(v) for v in row) for row in rows)
 
 
 def _from_dict(cls, data: dict, rename: dict[str, str] | None = None):
@@ -336,7 +348,7 @@ def _from_dict(cls, data: dict, rename: dict[str, str] | None = None):
     if missing:
         raise ValueError(f"{cls.__name__}: missing keys {missing}")
     for k, v in data.items():
-        _check_type(cls, k, keys[k].type, v)
+        _check_type(cls.__name__, k, keys[k].type, v)
     return cls(**{keys[k].name: v for k, v in data.items()})
 
 
@@ -366,6 +378,7 @@ _SCENARIO_KEYS = (
     "planning_period_s", "seed",
 )
 _FAP_KEYS = ("id", "waypoints", "demand_bps", "demand_schedule")
+_SCENARIO_TYPES = {"duration_s": "float", "planning_period_s": "float", "seed": "int"}
 
 
 def scenario_from_json(data: dict) -> ScenarioTrace:
@@ -376,6 +389,9 @@ def scenario_from_json(data: dict) -> ScenarioTrace:
     waypoints reloads to the exact trace `generate_rwm` would produce.
     """
     _reject_unknown("scenario", data, _SCENARIO_KEYS)
+    for key, annotation in _SCENARIO_TYPES.items():
+        if key in data:
+            _check_type("scenario", key, annotation, data[key])
     venue = _from_dict(Venue, data["venue"])
     mobility = _from_dict(MobilityParams, data.get("mobility", {}))
     duration = float(data["duration_s"])
@@ -383,17 +399,19 @@ def scenario_from_json(data: dict) -> ScenarioTrace:
     gen_rng = random.Random(seed)
     faps = []
     for entry in data["faps"]:
-        _reject_unknown(f"FAP {entry.get('id')}", entry, _FAP_KEYS)
+        where = f"FAP {entry.get('id')}"
+        _reject_unknown(where, entry, _FAP_KEYS)
+        _check_type(where, "id", "str", entry["id"])
         wps = _random_waypoints(gen_rng, venue, mobility, duration)
         if "waypoints" in entry:
-            wps = tuple(tuple(float(v) for v in w) for w in entry["waypoints"])
+            wps = _rows(where, "waypoints", entry["waypoints"], 4)
         if "demand_bps" in entry:
+            _check_type(where, "demand_bps", "float", entry["demand_bps"])
             demand = DemandProfile(constant_bps=float(entry["demand_bps"]))
         else:
-            demand = DemandProfile(
-                schedule=tuple((float(t), float(b)) for t, b in entry["demand_schedule"])
-            )
-        faps.append(FapTrace(str(entry["id"]), wps, demand))
+            schedule = _rows(where, "demand_schedule", entry["demand_schedule"], 2)
+            demand = DemandProfile(schedule=schedule)
+        faps.append(FapTrace(entry["id"], wps, demand))
     return ScenarioTrace(
         venue=venue,
         channel=_from_dict(ChannelParams, data["channel"]),

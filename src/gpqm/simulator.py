@@ -19,12 +19,13 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .channel import ChannelParams, McsTable, SPEED_OF_LIGHT_MPS, friis_snr_db, rician_snr_sample
+from .channel import SPEED_OF_LIGHT_MPS, friis_snr_db, rician_snr_sample
 from .planner import PlanSeries
 from .queueing import DEFAULT_PACKET_SIZE_BYTES
 from .scenario import ScenarioTrace
 
 _TICK, _ARRIVAL, _DEPARTURE, _TOGGLE = 0, 1, 2, 3
+_BITS_PER_PKT = 8.0 * DEFAULT_PACKET_SIZE_BYTES
 
 # RED drops early between a quarter and three quarters of the queue size.
 _RED_MAX_P = 0.1
@@ -52,7 +53,6 @@ class SimConfig:
     service_mode: str = "deterministic"  # deterministic | exponential
     baseline_tx_power_dbm: float = 20.0
     fixed_position: tuple[float, float, float] | None = None
-    packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES
     record_packets: bool = False
     label: str | None = None
 
@@ -231,7 +231,7 @@ class _Fap:
         self.rate_bps = 0.0
         self.prop_s = 0.0
         demand0 = trace_fap.demand.at(0.0)
-        self.poisson_pps = demand0 / (8.0 * config.packet_size_bytes)
+        self.poisson_pps = demand0 / _BITS_PER_PKT
         self.epoch = 0  # on/off toggles; the source is on in even epochs
         self.aimd_max_bps = demand0
         self.aimd_rate_bps = demand0 / 2.0
@@ -253,9 +253,11 @@ def _queue(config: SimConfig, base: int, i: int) -> DropTailQueue:
 
 def _tick_setting(config: SimConfig, trace: ScenarioTrace, plan, now: float):
     """Gateway position, transmit power and per-FAP queue limits (or None) at a tick."""
+    sched = None
+    if config.queue == "scheduled":
+        sched = {fp.fap_id: fp.queue_pkts for fp in plan.at(now).faps}
     if config.placement == "gpqm":
         cur = plan.at(now)
-        sched = {fp.fap_id: fp.queue_pkts for fp in cur.faps} if config.queue == "scheduled" else None
         return cur.fgw_position, cur.tx_power_dbm, sched
     venue = trace.venue
     if config.placement == "venue-center":
@@ -266,16 +268,13 @@ def _tick_setting(config: SimConfig, trace: ScenarioTrace, plan, now: float):
         t_grid = math.floor(now / trace.planning_period_s) * trace.planning_period_s
         points = [f.position_at(t_grid) for f in trace.faps]
         fgw = tuple(sum(p[k] for p in points) / len(points) for k in range(3))
-    return fgw, config.baseline_tx_power_dbm, None
+    return fgw, config.baseline_tx_power_dbm, sched
 
 
 def simulate(
-    trace: ScenarioTrace,
-    config: SimConfig,
-    plan: PlanSeries | None = None,
-    table: McsTable | None = None,
+    trace: ScenarioTrace, config: SimConfig, plan: PlanSeries | None = None
 ) -> SimMetrics:
-    """Run one seeded simulation of a scenario and return its metrics."""
+    """Run one seeded simulation of a scenario against its own MCS ladder."""
     channel = trace.channel
     duration = config.bootstrap_s + config.measure_s
     if trace.duration_s + 1e-9 < duration:
@@ -290,10 +289,7 @@ def simulate(
                 f"plan covers [{plan.start_s}, {plan.end_s}) s but the run needs "
                 f"[0, {duration}) s"
             )
-    if table is None:
-        table = trace.mcs_table()
-
-    bits_per_pkt = 8.0 * config.packet_size_bytes
+    table = trace.mcs_table()
     faps = [_Fap(i, tf, config) for i, tf in enumerate(trace.faps)]
     traffic = config.traffic
     deterministic = config.service_mode == "deterministic"
@@ -317,9 +313,9 @@ def simulate(
             if f.epoch % 2 == 0:
                 rate = f.trace.demand.at(now)
                 if rate > 0.0:
-                    push(now + bits_per_pkt / rate, _ARRIVAL, f, f.epoch)
+                    push(now + _BITS_PER_PKT / rate, _ARRIVAL, f, f.epoch)
         elif f.aimd_rate_bps > 0.0:
-            push(now + bits_per_pkt / f.aimd_rate_bps, _ARRIVAL, f)
+            push(now + _BITS_PER_PKT / f.aimd_rate_bps, _ARRIVAL, f)
 
     for tb in range(int(math.ceil(duration))):
         push(float(tb), _TICK, None)
@@ -339,7 +335,7 @@ def simulate(
         if in_window_lo <= now < duration:
             f.w_dropped += 1
         if traffic == "aimd":
-            f.aimd_rate_bps = max(f.aimd_rate_bps * 0.5, bits_per_pkt)
+            f.aimd_rate_bps = max(f.aimd_rate_bps * 0.5, _BITS_PER_PKT)
         if record:
             records.append(PacketRecord(f.trace.fap_id, created, None, True, None))
 
@@ -354,9 +350,9 @@ def simulate(
             return
         f.serving = pkt
         if deterministic:
-            st = bits_per_pkt / f.rate_bps
+            st = _BITS_PER_PKT / f.rate_bps
         else:
-            st = f.srv_rng.expovariate(f.rate_bps / bits_per_pkt)
+            st = f.srv_rng.expovariate(f.rate_bps / _BITS_PER_PKT)
         push(now + st, _DEPARTURE, f)
 
     def tick(now: float) -> None:
@@ -386,7 +382,7 @@ def simulate(
             if sched is not None:
                 f.queue.limit = sched[f.trace.fap_id]
             if traffic == "poisson":
-                f.poisson_pps = f.trace.demand.at(now) / bits_per_pkt
+                f.poisson_pps = f.trace.demand.at(now) / _BITS_PER_PKT
             serve(f, now)
 
     def arrival(f: _Fap, now: float, epoch: int) -> None:
@@ -412,13 +408,13 @@ def simulate(
             f.w_delivered += 1
             delay_samples.append(delivered_at - created)
             second = int(delivered_at - in_window_lo)
-            thr_bins[second] = thr_bins.get(second, 0.0) + bits_per_pkt
+            thr_bins[second] = thr_bins.get(second, 0.0) + _BITS_PER_PKT
         if record:
             records.append(
                 PacketRecord(f.trace.fap_id, created, delivered_at, False, delivered_at - created)
             )
         if traffic == "aimd":
-            f.aimd_rate_bps = min(f.aimd_rate_bps + bits_per_pkt, f.aimd_max_bps)
+            f.aimd_rate_bps = min(f.aimd_rate_bps + _BITS_PER_PKT, f.aimd_max_bps)
         serve(f, now)
 
     def toggle(f: _Fap, now: float) -> None:
@@ -456,7 +452,7 @@ def simulate(
         window_dropped=sum(f.w_dropped for f in faps),
         # exact: every delivered packet adds the same whole number of bits
         per_fap_goodput_bps={
-            f.trace.fap_id: f.w_delivered * bits_per_pkt / config.measure_s for f in faps
+            f.trace.fap_id: f.w_delivered * _BITS_PER_PKT / config.measure_s for f in faps
         },
         packets=tuple(records),
     )

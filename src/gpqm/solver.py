@@ -9,20 +9,24 @@ optimum sits exactly on the delay-bound surface (surplus capacity is pure
 cost), so the audit accepts normalised magnitudes up to 1e-6 — about 10 ns
 of sojourn against the default bound — as solver-precision noise, the way
 any continuous NLP solver states a feasibility tolerance.
+
+Links carry DEFAULT_PACKET_SIZE_BYTES packets, as in the planner and the
+simulator. The regression model (the linear fit through the calibrated MCS
+ladder), its aggregate cap and the swarm's coefficients are module constants;
+the first two are computed once, at import.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import (
     ChannelParams,
     McsTable,
-    RateModel,
     calibrated_mcs_table,
     default_mcs_table,
     fit_rate_model,
@@ -32,7 +36,7 @@ from .channel import (
 from .errors import PlanningError
 from .placement import Point, Venue
 from .planner import FapPlan, GpqmPlan, PlannerConfig, PlanSeries, plan_snapshot
-from .queueing import DEFAULT_PACKET_SIZE_BYTES, md1_delay_s, md1_queue_size, mm1q_plr
+from .queueing import DEFAULT_PACKET_SIZE_BYTES, md1_delay_s, mm1q_plr, planned_queue_size
 from .scenario import (
     DEFAULT_DEMAND_FRACTIONS,
     DemandProfile,
@@ -45,6 +49,15 @@ from .scenario import (
 from .simulator import SimConfig, merge_metrics, simulate
 
 _SATURATED_DELAY_MAGNITUDE = 1e3
+_BITS_PER_PKT = 8.0 * DEFAULT_PACKET_SIZE_BYTES
+_RATE_MODEL = fit_rate_model(calibrated_mcs_table())
+_CALIBRATED_TOP_PHY_BPS = calibrated_mcs_table().top.phy_rate_bps
+
+_OMEGA = 0.72
+_C_PERSONAL = 1.49
+_C_SOCIAL = 1.49
+_VELOCITY_CLAMP = 0.2  # fraction of each bound's range
+_PENALTY_WEIGHT = 1e6
 
 # Feasibility tolerance on normalised violation magnitudes. The capacity
 # objective presses the delay constraint to equality, so converged swarms
@@ -56,10 +69,6 @@ FEASIBILITY_TOL = 1e-6
 _SEEDS_PER_INSTANCE = 100
 
 
-def _default_rate_model() -> RateModel:
-    return fit_rate_model(calibrated_mcs_table())
-
-
 @dataclass(frozen=True)
 class OptProblem:
     """Static placement instance for the benchmark solver."""
@@ -69,9 +78,6 @@ class OptProblem:
     venue: Venue
     delay_threshold_s: float = 0.010
     capacity_model: str = "regression"  # regression | shannon
-    rate_model: RateModel = field(default_factory=_default_rate_model)
-    aggregate_cap_bps: float | None = None
-    packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES
 
     def __post_init__(self) -> None:
         if self.capacity_model not in ("regression", "shannon"):
@@ -81,11 +87,9 @@ class OptProblem:
 
     @property
     def effective_aggregate_cap_bps(self) -> float:
-        if self.aggregate_cap_bps is not None:
-            return self.aggregate_cap_bps
         if self.capacity_model == "regression":
             # Usable rate of the fastest calibrated mode.
-            return self.channel.mac_efficiency * calibrated_mcs_table().top.phy_rate_bps
+            return self.channel.mac_efficiency * _CALIBRATED_TOP_PHY_BPS
         return math.inf
 
     @property
@@ -99,26 +103,14 @@ class OptProblem:
 
     def capacity_bps(self, snr_db: float) -> float:
         if self.capacity_model == "regression":
-            return self.rate_model.capacity_bps(snr_db)
+            return _RATE_MODEL.capacity_bps(snr_db)
         return shannon_capacity_bps(self.channel.bandwidth_hz, snr_db)
-
-
-@dataclass(frozen=True)
-class LinkEval:
-    fap_id: str
-    distance_m: float
-    snr_db: float
-    capacity_bps: float
-    utilisation: float
-    queue_pkts: float
-    delay_s: float
 
 
 @dataclass(frozen=True)
 class SolverEval:
     objective_bps: float
     violations: tuple[tuple[str, float], ...]
-    links: tuple[LinkEval, ...]
 
     @property
     def feasible(self) -> bool:
@@ -157,8 +149,6 @@ def evaluate(problem: OptProblem, x) -> SolverEval:
     if out > FEASIBILITY_TOL:
         violations.append(("venue_bounds", out))
 
-    bits = 8.0 * problem.packet_size_bytes
-    links = []
     total_capacity = 0.0
     for fap in problem.snapshot.faps:
         d = max(math.dist(pos, fap.position), 1e-6)
@@ -176,35 +166,25 @@ def evaluate(problem: OptProblem, x) -> SolverEval:
 
         rho = fap.demand_bps / cap if cap > 0.0 else math.inf
         if rho < 1.0:
-            mu = cap / bits
-            delay = md1_delay_s(rho, mu)
-            queue = md1_queue_size(rho)
+            delay = md1_delay_s(rho, cap / _BITS_PER_PKT)
             excess = (delay - problem.delay_threshold_s) / problem.delay_threshold_s
             if excess > FEASIBILITY_TOL:
                 violations.append((f"delay_bound:{fap.fap_id}", excess))
         else:
-            delay = math.inf
-            queue = math.inf
             violations.append((f"delay_bound:{fap.fap_id}", _SATURATED_DELAY_MAGNITUDE))
-        links.append(LinkEval(fap.fap_id, d, snr, cap, rho, queue, delay))
 
     cap_limit = problem.effective_aggregate_cap_bps
     over = (total_capacity - cap_limit) / 1e6
     if over > FEASIBILITY_TOL:
         violations.append(("aggregate_capacity", over))
 
-    return SolverEval(total_capacity, tuple(violations), tuple(links))
+    return SolverEval(total_capacity, tuple(violations))
 
 
 @dataclass(frozen=True)
 class PsoParams:
     swarm: int = 50
     iterations: int = 2000
-    omega: float = 0.72
-    c_personal: float = 1.49
-    c_social: float = 1.49
-    velocity_clamp: float = 0.2  # fraction of each bound's range
-    penalty_weight: float = 1e6
 
     def __post_init__(self) -> None:
         if self.swarm < 2 or self.iterations < 1:
@@ -219,13 +199,12 @@ class SolverResult:
     objective_bps: float
     feasible: bool
     violations: tuple[tuple[str, float], ...]
-    links: tuple[LinkEval, ...]
     fitness_history: tuple[float, ...]
 
 
-def _fitness(problem: OptProblem, params: PsoParams, x) -> float:
+def _fitness(problem: OptProblem, x) -> float:
     ev = evaluate(problem, x)
-    penalty = params.penalty_weight * sum(m * m for _, m in ev.violations)
+    penalty = _PENALTY_WEIGHT * sum(m * m for _, m in ev.violations)
     return ev.objective_bps / 1e6 + penalty
 
 
@@ -236,12 +215,12 @@ def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -
     lo = np.array([b[0] for b in problem.bounds])
     hi = np.array([b[1] for b in problem.bounds])
     span = hi - lo
-    v_max = params.velocity_clamp * span
+    v_max = _VELOCITY_CLAMP * span
 
     s = params.swarm
     x = lo + span * rng.random((s, 4))
     vel = np.zeros((s, 4))
-    fits = np.array([_fitness(problem, params, row) for row in x])
+    fits = np.array([_fitness(problem, row) for row in x])
     pbest = x.copy()
     pbest_fit = fits.copy()
     g_idx = int(np.argmin(pbest_fit))
@@ -253,13 +232,13 @@ def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -
         r1 = rng.random((s, 4))
         r2 = rng.random((s, 4))
         vel = (
-            params.omega * vel
-            + params.c_personal * r1 * (pbest - x)
-            + params.c_social * r2 * (gbest - x)
+            _OMEGA * vel
+            + _C_PERSONAL * r1 * (pbest - x)
+            + _C_SOCIAL * r2 * (gbest - x)
         )
         np.clip(vel, -v_max, v_max, out=vel)
         x = np.clip(x + vel, lo, hi)
-        fits = np.array([_fitness(problem, params, row) for row in x])
+        fits = np.array([_fitness(problem, row) for row in x])
         improved = fits < pbest_fit
         pbest[improved] = x[improved]
         pbest_fit[improved] = fits[improved]
@@ -287,7 +266,6 @@ def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -
         objective_bps=best_ev.objective_bps,
         feasible=best_ev.feasible,
         violations=best_ev.violations,
-        links=best_ev.links,
         fitness_history=tuple(history),
     )
 
@@ -299,18 +277,23 @@ def solver_plan(
 
     Position and power are taken as-is; each link's realised capacity comes
     from the discrete MCS actually available at the solution's SNR, while
-    the queue is provisioned from the solver's own continuous backlog
-    prediction, rounded up (floor one packet; fallback 100 for saturated
-    links the solver itself flagged infeasible).
+    the queue, delay and loss come from the solver's own continuous capacity:
+    the M/D/1 backlog rounded up (floor one packet; fallback 100 for saturated
+    links the solver itself flagged infeasible), the M/D/1 delay and the
+    M/M/1/Q loss.
     """
     faps = []
-    for fap, link in zip(problem.snapshot.faps, result.links):
+    for fap in problem.snapshot.faps:
         d = max(math.dist(result.position, fap.position), 1e-6)
         snr = friis_snr_db(problem.channel, result.tx_power_dbm, d)
         mcs = table.for_snr(snr)
         capacity = mcs.fair_share_bps if mcs is not None else 0.0
         realised_rho = fap.demand_bps / capacity if capacity > 0.0 else math.inf
-        queue = max(1, math.ceil(link.queue_pkts)) if math.isfinite(link.queue_pkts) else 100
+        cap = problem.capacity_bps(snr)
+        rho = fap.demand_bps / cap if cap > 0.0 else math.inf
+        saturated = rho >= 1.0
+        queue = 100 if saturated else planned_queue_size(rho)
+        delay = math.inf if saturated else md1_delay_s(rho, cap / _BITS_PER_PKT)
         faps.append(
             FapPlan(
                 fap_id=fap.fap_id,
@@ -320,10 +303,8 @@ def solver_plan(
                 capacity_bps=capacity,
                 utilisation=realised_rho,
                 queue_pkts=queue,
-                delay_s=link.delay_s,
-                plr=mm1q_plr(min(link.utilisation, 10.0), queue)
-                if math.isfinite(link.utilisation)
-                else 1.0,
+                delay_s=delay,
+                plr=mm1q_plr(min(rho, 10.0), queue) if math.isfinite(rho) else 1.0,
             )
         )
     return GpqmPlan(
@@ -393,27 +374,26 @@ def run_benchmark(
     n_instances: int = 5,
     n_faps: int = 3,
     base_seed: int = 7,
-    venue: Venue | None = None,
-    channel: ChannelParams | None = None,
-    planner_config: PlannerConfig | None = None,
     pso_params: PsoParams | None = None,
     capacity_model: str = "regression",
     demand_fractions: tuple[float, ...] = DEFAULT_DEMAND_FRACTIONS,
     sim_config: SimConfig | None = None,
     sim_runs: int = 3,
-    percentile: float = 90.0,
 ) -> list[BenchmarkRow]:
     """Plan and PSO-solve seeded static instances, then simulate both plans.
 
     Instance seeds count up from `base_seed`, skipping draws the planner
     cannot serve, until `n_instances` plannable instances are collected;
     PlanningError when 100 candidate seeds per instance do not suffice.
-    Delay is the p-th percentile of pooled per-packet delays; throughput the
-    per-second value exceeded by p% of samples.
+    Instances use the default venue, channel and planner settings. Delay is
+    the 90th percentile of pooled per-packet delays; throughput the
+    per-second value exceeded by 90% of samples.
     """
-    venue = venue or Venue()
-    channel = channel or ChannelParams()
-    planner_config = planner_config or PlannerConfig()
+    if n_instances < 1 or sim_runs < 1:
+        raise ValueError("need at least one instance and one simulation run")
+    venue = Venue()
+    channel = ChannelParams()
+    planner_config = PlannerConfig()
     pso_params = pso_params or PsoParams()
     sim_config = sim_config or SimConfig(
         bootstrap_s=5.0, measure_s=20.0, placement="gpqm", queue="scheduled"
@@ -465,11 +445,10 @@ def run_benchmark(
                     trace,
                     replace(sim_config, seed=r + 1, label=method),
                     plan=series,
-                    table=table,
                 )
                 for r in range(sim_runs)
             ]
-            delay_p, thr_p = merge_metrics(runs).percentiles(percentile)
+            delay_p, thr_p = merge_metrics(runs).percentiles(90.0)
             rows.append(
                 BenchmarkRow(
                     instance=instance,

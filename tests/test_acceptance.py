@@ -254,7 +254,7 @@ def test_ac5_planner_invariants_on_random_instances():
 def _shannon_grid_optimum(problem: OptProblem, step_m: float = 0.5) -> float:
     fap = problem.snapshot.faps[0]
     h = problem.delay_threshold_s
-    bits = 8.0 * problem.packet_size_bytes
+    bits = 8.0 * DEFAULT_PACKET_SIZE_BYTES
     a = h * fap.demand_bps + bits
     floor = (a + math.sqrt(a * a - 2.0 * h * bits * fap.demand_bps)) / (2.0 * h)
     need = max(fap.demand_bps, floor)

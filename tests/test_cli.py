@@ -261,3 +261,54 @@ def test_exit_usage_names_silent_fap_when_planning(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "FAP fap1" in err and "silent" in err
+
+
+def _drop_demand(fap: dict) -> dict:
+    del fap["demand_bps"]
+    return fap
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("duration_s", lambda d: d.update(duration_s=None)),
+        ("planning_period_s", lambda d: d.update(planning_period_s="5")),
+        ("seed", lambda d: d.update(seed="3")),
+        ("id", lambda d: d["faps"][0].update(id=3)),
+        ("demand_bps", lambda d: d["faps"][0].update(demand_bps=[1])),
+        ("demand_bps", lambda d: d["faps"][0].update(demand_bps="5e7")),
+        ("waypoints", lambda d: d["faps"][0]["waypoints"].__setitem__(0, [0, 1, 2])),
+        ("waypoints", lambda d: d["faps"][0]["waypoints"][0].__setitem__(1, "1")),
+        ("demand_schedule", lambda d: _drop_demand(d["faps"][0]).update(demand_schedule=[[0]])),
+    ],
+    ids=["duration-null", "period-str", "seed-str", "id-int", "demand-list", "demand-str",
+         "waypoint-short", "waypoint-str", "schedule-short"],
+)
+def test_exit_usage_names_wrong_typed_top_level_or_fap_value(tmp_path, capsys, key, edit):
+    scenario = tmp_path / "s.json"
+    assert cli.main([
+        "generate", "--faps", "1", "--duration", "12", "--seed", "2",
+        "--out", str(scenario),
+    ]) == 0
+    data = json.loads(scenario.read_text())
+    edit(data)
+    scenario.write_text(json.dumps(data))
+    rc = cli.main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "p.json")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def test_exit_usage_on_zero_counts(tmp_path):
+    scenario, metrics, bench = tmp_path / "s.json", tmp_path / "m", tmp_path / "b.csv"
+    assert cli.main([
+        "generate", "--faps", "1", "--duration", "12", "--seed", "2",
+        "--out", str(scenario),
+    ]) == 0
+    assert cli.main([
+        "simulate", "--scenario", str(scenario), "--policy", "venue-center", "--runs", "0",
+        "--bootstrap", "1", "--measure", "1", "--out", str(metrics),
+    ]) == 2
+    assert not metrics.exists()
+    for flag in ("--instances", "--sim-runs"):
+        assert cli.main(["benchmark", flag, "0", "--out", str(bench)]) == 2
+    assert not bench.exists()

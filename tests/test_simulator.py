@@ -20,6 +20,7 @@ from gpqm import (
     DemandProfile,
     FapTrace,
     PlannerConfig,
+    PlanSeries,
     ScenarioTrace,
     SimConfig,
     Venue,
@@ -145,6 +146,20 @@ def test_conservation_exact():
 def test_queue_bound_caps_sojourn():
     q = 5
     m = run_single(2.0 * MU_PPS * 11200.0, queue_size=q, measure_s=6.0)
+    assert m.dropped > 0
+    bound = q / MU_PPS + 20.0 / 3.0e8 + 1e-9
+    assert max(m.delay_samples_s) <= bound
+
+
+def test_scheduled_queue_takes_plan_limits_under_fixed_placement():
+    q = 3
+    base = plan_series(static_trace(100e6, 4.0), PlannerConfig())
+    plans = tuple(
+        replace(p, faps=tuple(replace(f, queue_pkts=q) for f in p.faps)) for p in base.plans
+    )
+    plan = PlanSeries(plans, base.update_period_s)
+    # queue_size stays at run_single's 100 000: only the plan can bound the queue
+    m = run_single(1.5 * MU_PPS * 11200.0, plan=plan, queue="scheduled", measure_s=2.0)
     assert m.dropped > 0
     bound = q / MU_PPS + 20.0 / 3.0e8 + 1e-9
     assert max(m.delay_samples_s) <= bound

@@ -8,6 +8,7 @@ power choice brackets the true optimum.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import replace
@@ -22,10 +23,13 @@ from gpqm import (
     PlannerConfig,
     PlanningError,
     PsoParams,
+    SimConfig,
     Snapshot,
     Venue,
+    calibrated_mcs_table,
     default_mcs_table,
     evaluate,
+    fit_rate_model,
     friis_snr_db,
     run_benchmark,
     shannon_capacity_bps,
@@ -187,7 +191,7 @@ def regression_grid_best(problem: OptProblem, step_m: float = 2.0) -> float:
         ]
     )
     k = 38.155041745832165
-    m = problem.rate_model
+    m = fit_rate_model(calibrated_mcs_table())
     best = math.inf
     for p_tx in np.arange(0.0, problem.channel.max_tx_power_dbm + 1e-9, 0.25):
         snr = p_tx + k - 20.0 * np.log10(dists)
@@ -293,8 +297,6 @@ def test_solver_plan_uses_discrete_rates():
 
 @pytest.fixture(scope="module")
 def small_benchmark():
-    from gpqm import SimConfig
-
     kw = dict(
         n_instances=2,
         n_faps=3,
@@ -337,3 +339,42 @@ def test_run_benchmark_gives_up_on_unplannable_seeds():
     with pytest.raises(PlanningError):
         run_benchmark(n_instances=1, demand_fractions=(5.0,))
     assert time.perf_counter() - start < 30.0
+
+
+# --- golden outputs ---------------------------------------------------------
+# One SHA-256 over swarm results with their plan translations (three random
+# instances and one the swarm cannot serve, each under both capacity models)
+# and one over the rows of a small head-to-head benchmark. A change that moves
+# any float of the solver, its plan translation or the benchmark changes them.
+
+GOLDEN_SOLVER_SHA256 = {
+    "solve_pso": "c1ac13584cd6595a252a46ecdbc64bfaeb77fb19c59f3eef8486a6e567da108d",
+    "run_benchmark": "a8d493dfac26fe9fcd265f3ec7a7316b65e715d13b4dbcfb85a20bdd887f8ca7",
+}
+
+
+def test_golden_solver_outputs():
+    table = default_mcs_table(3, CH.mac_efficiency)
+    far = Snapshot(
+        0.0,
+        (FapState("a", (0.0, 0.0, 5.0), 160e6), FapState("b", (100.0, 100.0, 5.0), 160e6)),
+    )
+    cases = [(random_static_instance(seed, 3, VENUE, CH), seed) for seed in (1, 2, 3)]
+    solved = []
+    for snap, seed in [*cases, (far, 4)]:
+        for model in ("regression", "shannon"):
+            problem = OptProblem(snapshot=snap, channel=CH, venue=VENUE, capacity_model=model)
+            res = solve_pso(problem, seed=seed, params=PsoParams(swarm=20, iterations=150))
+            solved.append((res.x, res.objective_bps, res.feasible, res.violations,
+                           res.fitness_history, solver_plan(problem, res, table)))
+    rows = run_benchmark(
+        n_instances=2,
+        pso_params=PsoParams(swarm=10, iterations=50),
+        sim_config=SimConfig(bootstrap_s=1.0, measure_s=2.0, placement="gpqm", queue="scheduled"),
+        sim_runs=2,
+    )
+    digests = {
+        name: hashlib.sha256(repr(out).encode()).hexdigest()
+        for name, out in (("solve_pso", solved), ("run_benchmark", rows))
+    }
+    assert digests == GOLDEN_SOLVER_SHA256
