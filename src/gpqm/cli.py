@@ -38,7 +38,15 @@ from .scenario import (
     save_scenario,
     save_waypoints,
 )
-from .simulator import SimConfig, merge_metrics, simulate, summarize
+from .simulator import (
+    PLACEMENTS,
+    QUEUES,
+    TRAFFIC_MODELS,
+    SimConfig,
+    merge_metrics,
+    simulate,
+    summarize,
+)
 from .solver import PsoParams, run_benchmark
 
 EXIT_OK = 0
@@ -74,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="simulate a scenario under a policy")
     s.add_argument("--scenario", required=True)
     s.add_argument("--plan", default=None, help="plan JSON (required for gpqm policy)")
-    s.add_argument("--policy", choices=("gpqm", "centroid", "venue-center"), default="gpqm")
-    s.add_argument("--queue", choices=("scheduled", "droptail", "red", "codel"), default=None,
+    s.add_argument("--policy", choices=[p for p in PLACEMENTS if p != "fixed"], default="gpqm")
+    s.add_argument("--queue", choices=QUEUES, default=None,
                    help="default: scheduled for gpqm, droptail otherwise")
     s.add_argument("--queue-size", type=int, default=100)
     s.add_argument("--seed", type=int, default=1)
@@ -83,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, help="output directory")
     s.add_argument("--channel-mode", choices=("independent", "shared"), default="independent")
     s.add_argument("--fading", choices=("on", "off"), default="on")
-    s.add_argument("--traffic", choices=("poisson", "onoff", "aimd"), default="poisson")
+    s.add_argument("--traffic", choices=TRAFFIC_MODELS, default="poisson")
     s.add_argument("--bootstrap", type=float, default=30.0)
     s.add_argument("--measure", type=float, default=70.0)
     s.add_argument("--baseline-power", type=float, default=20.0)

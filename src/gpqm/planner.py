@@ -30,7 +30,7 @@ from .placement import (
     feasibility_margin,
 )
 from .queueing import md1_delay_s, mm1q_plr, planned_queue_size, rates_from_traffic
-from .scenario import ScenarioTrace, Snapshot, _from_dict, _to_dict
+from .scenario import ScenarioTrace, Snapshot, _check_type, _from_dict, _rows, _to_dict
 
 SLACK_TOL_M = 1e-9
 
@@ -339,7 +339,8 @@ def plan_series_to_json(series: PlanSeries, duration_s: float | None = None) -> 
     }
 
 
-def _fap_plan_from_json(entry: dict) -> FapPlan:
+def _fap_plan_from_json(where: str, entry) -> FapPlan:
+    _check_type(where, "each faps entry", "object", entry)
     if "demand_bps" in entry:
         return _from_dict(FapPlan, entry, _FAP_PLAN_KEYS)
     # plan files written before the demand was stored
@@ -347,16 +348,26 @@ def _fap_plan_from_json(entry: dict) -> FapPlan:
     return replace(plan, demand_bps=plan.utilisation * plan.capacity_bps)
 
 
+def _plan_from_json(where: str, entry) -> GpqmPlan:
+    _check_type("plan file", where, "object", entry)
+    _check_type(where, "t", "float", entry["t"])
+    _check_type(where, "p_tx_dbm", "float", entry["p_tx_dbm"])
+    _check_type(where, "faps", "list", entry["faps"])
+    return GpqmPlan(
+        t_s=float(entry["t"]),
+        tx_power_dbm=float(entry["p_tx_dbm"]),
+        fgw_position=_rows(where, "fgw", [entry["fgw"]], 3)[0],
+        faps=tuple(_fap_plan_from_json(where, f) for f in entry["faps"]),
+        margins_m=(),
+    )
+
+
 def plan_series_from_json(data: dict) -> PlanSeries:
-    plans = [
-        GpqmPlan(
-            t_s=float(entry["t"]),
-            tx_power_dbm=float(entry["p_tx_dbm"]),
-            fgw_position=tuple(float(v) for v in entry["fgw"]),
-            faps=tuple(_fap_plan_from_json(f) for f in entry["faps"]),
-            margins_m=(),
-        )
-        for entry in data["plans"]
-    ]
-    period = float(data.get("config_echo", {}).get("sampling_period_s", 1.0))
-    return PlanSeries(tuple(plans), period)
+    _check_type("plan file", "the file", "object", data)
+    _check_type("plan file", "plans", "list", data["plans"])
+    echo = data.get("config_echo", {})
+    _check_type("plan file", "config_echo", "object", echo)
+    period = echo.get("sampling_period_s", 1.0)
+    _check_type("config_echo", "sampling_period_s", "float", period)
+    plans = [_plan_from_json(f"plans[{i}]", entry) for i, entry in enumerate(data["plans"])]
+    return PlanSeries(tuple(plans), float(period))

@@ -308,7 +308,9 @@ def _reject_unknown(where: str, data: dict, known) -> None:
 
 
 # The field annotations the codec reads, and the JSON values each accepts.
-_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,)}
+_JSON_TYPES = {
+    "float": (int, float), "int": (int,), "str": (str,), "object": (dict,), "list": (list,),
+}
 
 
 def _check_type(where: str, key: str, annotation: str, value) -> None:
@@ -339,6 +341,7 @@ def _from_dict(cls, data: dict, rename: dict[str, str] | None = None):
     """
     rename = rename or {}
     keys = {rename.get(f.name, f.name): f for f in fields(cls)}
+    _check_type(cls.__name__, "each entry", "object", data)
     _reject_unknown(cls.__name__, data, keys)
     missing = [
         k
@@ -373,12 +376,12 @@ def scenario_to_json(trace: ScenarioTrace) -> dict:
     }
 
 
-_SCENARIO_KEYS = (
-    "venue", "channel", "mcs_overrides", "mobility", "faps", "duration_s",
-    "planning_period_s", "seed",
-)
 _FAP_KEYS = ("id", "waypoints", "demand_bps", "demand_schedule")
-_SCENARIO_TYPES = {"duration_s": "float", "planning_period_s": "float", "seed": "int"}
+# Every key a scenario file may hold, and the JSON type of its value.
+_SCENARIO_TYPES = {
+    "venue": "object", "channel": "object", "mcs_overrides": "list", "mobility": "object",
+    "faps": "list", "duration_s": "float", "planning_period_s": "float", "seed": "int",
+}
 
 
 def scenario_from_json(data: dict) -> ScenarioTrace:
@@ -388,7 +391,8 @@ def scenario_from_json(data: dict) -> ScenarioTrace:
     replaced by the file's own where it has them, so a file without any
     waypoints reloads to the exact trace `generate_rwm` would produce.
     """
-    _reject_unknown("scenario", data, _SCENARIO_KEYS)
+    _check_type("scenario", "the file", "object", data)
+    _reject_unknown("scenario", data, _SCENARIO_TYPES)
     for key, annotation in _SCENARIO_TYPES.items():
         if key in data:
             _check_type("scenario", key, annotation, data[key])
@@ -399,6 +403,7 @@ def scenario_from_json(data: dict) -> ScenarioTrace:
     gen_rng = random.Random(seed)
     faps = []
     for entry in data["faps"]:
+        _check_type("scenario", "each faps entry", "object", entry)
         where = f"FAP {entry.get('id')}"
         _reject_unknown(where, entry, _FAP_KEYS)
         _check_type(where, "id", "str", entry["id"])

@@ -7,7 +7,10 @@ planner-scheduled drop-tail, a static drop-tail, RED and CoDel. Traffic:
 Poisson, exponential on/off, and a rate-halving AIMD approximation.
 
 Everything is driven by seeded `random.Random` streams and a total event
-order, so identical inputs reproduce bit-identical metrics.
+order, so identical inputs reproduce bit-identical metrics. Ticks, once per
+whole second, set positions, rates and scheduled queue limits: a tick runs
+after every event due before it and before any event due at its instant;
+other events due at the same time run in the order they were scheduled.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 from .channel import SPEED_OF_LIGHT_MPS, friis_snr_db, rician_snr_sample
 from .planner import PlanSeries
 from .queueing import DEFAULT_PACKET_SIZE_BYTES
 from .scenario import ScenarioTrace
 
-_TICK, _ARRIVAL, _DEPARTURE, _TOGGLE = 0, 1, 2, 3
 _BITS_PER_PKT = 8.0 * DEFAULT_PACKET_SIZE_BYTES
 
 # RED drops early between a quarter and three quarters of the queue size.
@@ -121,17 +124,14 @@ class SimMetrics:
 
 
 class DropTailQueue:
-    """Finite FIFO; the limit counts the packet in service as occupying a slot."""
+    """Finite FIFO of creation times; the limit counts the packet in service too."""
 
     def __init__(self, limit: int):
         self.limit = limit
-        self.items: deque = deque()
+        self.items: deque[float] = deque()
 
-    def admit(self, now: float, in_system: int) -> bool:
+    def admit(self, in_system: int) -> bool:
         return in_system < self.limit
-
-    def push(self, created: float, now: float) -> None:
-        self.items.append((created, now))
 
     def pull(self, now: float):
         pkt = self.items.popleft() if self.items else None
@@ -148,7 +148,7 @@ class RedQueue(DropTailQueue):
         self.rng = rng
         self.avg = 0.0
 
-    def admit(self, now: float, in_system: int) -> bool:
+    def admit(self, in_system: int) -> bool:
         self.avg = (1.0 - _RED_WEIGHT) * self.avg + _RED_WEIGHT * in_system
         if in_system >= self.limit:
             return False
@@ -179,8 +179,7 @@ class CoDelQueue(DropTailQueue):
             self.first_above = 0.0
             return None, False
         pkt = self.items.popleft()
-        sojourn = now - pkt[1]
-        if sojourn < _CODEL_TARGET_S:
+        if now - pkt < _CODEL_TARGET_S:  # the packet's sojourn
             self.first_above = 0.0
             return pkt, False
         if self.first_above == 0.0:
@@ -253,11 +252,9 @@ def _queue(config: SimConfig, base: int, i: int) -> DropTailQueue:
 
 def _tick_setting(config: SimConfig, trace: ScenarioTrace, plan, now: float):
     """Gateway position, transmit power and per-FAP queue limits (or None) at a tick."""
-    sched = None
-    if config.queue == "scheduled":
-        sched = {fp.fap_id: fp.queue_pkts for fp in plan.at(now).faps}
+    cur = plan.at(now) if config.placement == "gpqm" or config.queue == "scheduled" else None
+    sched = {fp.fap_id: fp.queue_pkts for fp in cur.faps} if config.queue == "scheduled" else None
     if config.placement == "gpqm":
-        cur = plan.at(now)
         return cur.fgw_position, cur.tx_power_dbm, sched
     venue = trace.venue
     if config.placement == "venue-center":
@@ -294,35 +291,26 @@ def simulate(
     traffic = config.traffic
     deterministic = config.service_mode == "deterministic"
 
-    # Entries are (t, seq, kind, fap, epoch); seq is unique, so ties never
-    # compare FAPs and equal times pop in the order they were pushed.
+    # Entries are (t, seq, handler, fap, epoch); seq is unique, so ties never
+    # compare handlers or FAPs and equal times pop in the order they were pushed.
     heap: list = []
-    seq = 0
+    seq = count()
 
-    def push(t: float, kind: int, f: _Fap | None, epoch: int = 0) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, f, epoch))
-        seq += 1
+    def push(t: float, handler, f: _Fap, epoch: int = 0) -> None:
+        heapq.heappush(heap, (t, next(seq), handler, f, epoch))
 
     def schedule_arrival(f: _Fap, now: float) -> None:
         """Push the source's next arrival after `now`; a zero rate leaves it silent."""
         if traffic == "poisson":
             if f.poisson_pps > 0.0:
-                push(now + f.arr_rng.expovariate(f.poisson_pps), _ARRIVAL, f)
+                push(now + f.arr_rng.expovariate(f.poisson_pps), arrival, f)
         elif traffic == "onoff":
             if f.epoch % 2 == 0:
                 rate = f.trace.demand.at(now)
                 if rate > 0.0:
-                    push(now + _BITS_PER_PKT / rate, _ARRIVAL, f, f.epoch)
+                    push(now + _BITS_PER_PKT / rate, arrival, f, f.epoch)
         elif f.aimd_rate_bps > 0.0:
-            push(now + _BITS_PER_PKT / f.aimd_rate_bps, _ARRIVAL, f)
-
-    for tb in range(int(math.ceil(duration))):
-        push(float(tb), _TICK, None)
-    for f in faps:
-        if traffic == "onoff" and f.trace.demand.at(0.0) > 0.0:
-            push(f.arr_rng.expovariate(2.0), _TOGGLE, f)
-        schedule_arrival(f, 0.0)
+            push(now + _BITS_PER_PKT / f.aimd_rate_bps, arrival, f)
 
     thr_bins: dict[int, float] = {}
     delay_samples: list[float] = []
@@ -344,8 +332,8 @@ def simulate(
         if f.serving is not None or f.rate_bps <= 0.0:
             return
         pkt, codel_drops = f.queue.pull(now)
-        for dpkt in codel_drops:
-            note_drop(f, dpkt[0], now)
+        for created in codel_drops:
+            note_drop(f, created, now)
         if pkt is None:
             return
         f.serving = pkt
@@ -353,7 +341,7 @@ def simulate(
             st = _BITS_PER_PKT / f.rate_bps
         else:
             st = f.srv_rng.expovariate(f.rate_bps / _BITS_PER_PKT)
-        push(now + st, _DEPARTURE, f)
+        push(now + st, departure, f)
 
     def tick(now: float) -> None:
         fgw, tx, sched = _tick_setting(config, trace, plan, now)
@@ -392,15 +380,15 @@ def simulate(
         if in_window_lo <= now < duration:
             f.w_generated += 1
         in_system = len(f.queue.items) + (1 if f.serving is not None else 0)
-        if f.queue.admit(now, in_system):
-            f.queue.push(now, now)
+        if f.queue.admit(in_system):
+            f.queue.items.append(now)
             serve(f, now)
         else:
             note_drop(f, now, now)
         schedule_arrival(f, now)
 
-    def departure(f: _Fap, now: float) -> None:
-        created, _enq = f.serving
+    def departure(f: _Fap, now: float, _epoch: int) -> None:
+        created = f.serving
         f.serving = None
         delivered_at = now + f.prop_s
         f.delivered += 1
@@ -417,23 +405,25 @@ def simulate(
             f.aimd_rate_bps = min(f.aimd_rate_bps + _BITS_PER_PKT, f.aimd_max_bps)
         serve(f, now)
 
-    def toggle(f: _Fap, now: float) -> None:
+    def toggle(f: _Fap, now: float, _epoch: int) -> None:
         f.epoch += 1
-        push(now + f.arr_rng.expovariate(2.0), _TOGGLE, f)
+        push(now + f.arr_rng.expovariate(2.0), toggle, f)
         schedule_arrival(f, now)
 
-    while heap:
-        now, _, kind, f, epoch = heapq.heappop(heap)
-        if now >= duration:
-            break
-        if kind == _TICK:
-            tick(now)
-        elif kind == _ARRIVAL:
-            arrival(f, now, epoch)
-        elif kind == _DEPARTURE:
-            departure(f, now)
-        else:
-            toggle(f, now)
+    for f in faps:
+        if traffic == "onoff" and f.trace.demand.at(0.0) > 0.0:
+            push(f.arr_rng.expovariate(2.0), toggle, f)
+        schedule_arrival(f, 0.0)
+    # A tick runs before the events due at its instant (see the module docstring).
+    for tb in range(int(math.ceil(duration))):
+        tick(float(tb))
+        until = min(tb + 1.0, duration)
+        while heap and heap[0][0] < until:
+            now, _, handler, f, epoch = heapq.heappop(heap)
+            handler(f, now, epoch)
+    # Break the handlers' reference cycles so the run's records are freed on return.
+    heap.clear()
+    del arrival, departure, toggle
 
     samples = tuple(thr_bins.get(s, 0.0) for s in range(int(round(config.measure_s))))
     return SimMetrics(

@@ -312,3 +312,49 @@ def test_exit_usage_on_zero_counts(tmp_path):
     for flag in ("--instances", "--sim-runs"):
         assert cli.main(["benchmark", flag, "0", "--out", str(bench)]) == 2
     assert not bench.exists()
+
+
+def _set(key, value):
+    return lambda d: d.update({key: value})
+
+
+@pytest.mark.parametrize(
+    "file, named, edit",
+    [
+        ("scenario", "faps entry", lambda d: d["faps"].__setitem__(0, 5)),
+        ("scenario", "venue", _set("venue", 5)),
+        ("scenario", "faps", _set("faps", 5)),
+        ("scenario", "mcs_overrides", _set("mcs_overrides", 3)),
+        ("scenario", "mobility must be object", _set("mobility", "x")),
+        ("plan", "plans", _set("plans", 5)),
+        ("plan", "plans[0]", lambda d: d["plans"].__setitem__(0, 5)),
+        ("plan", "t must be float", lambda d: d["plans"][0].update(t=None)),
+        ("plan", "fgw", lambda d: d["plans"][0].update(fgw=5)),
+        ("plan", "faps", lambda d: d["plans"][0].update(faps=5)),
+        ("plan", "plans[0]: each faps entry", lambda d: d["plans"][0]["faps"].__setitem__(0, 5)),
+        ("plan", "fgw", lambda d: d["plans"][0].update(fgw=[50.0, 50.0])),
+    ],
+    ids=["fap-entry", "venue", "faps", "mcs-overrides", "mobility-str", "plans", "plan-entry",
+         "t-null", "fgw-int", "plan-faps", "plan-fap-entry", "fgw-two-numbers"],
+)
+def test_exit_usage_names_malformed_file_shape(tmp_path, capsys, file, named, edit):
+    scenario, plan = tmp_path / "s.json", tmp_path / "p.json"
+    assert cli.main([
+        "generate", "--faps", "1", "--duration", "12", "--seed", "2",
+        "--out", str(scenario),
+    ]) == 0
+    if file == "plan":
+        assert cli.main(["plan", "--scenario", str(scenario), "--out", str(plan)]) == 0
+    path = scenario if file == "scenario" else plan
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    if file == "scenario":
+        rc = cli.main(["plan", "--scenario", str(scenario), "--out", str(plan)])
+    else:
+        rc = cli.main([
+            "simulate", "--scenario", str(scenario), "--plan", str(plan),
+            "--bootstrap", "2", "--measure", "1", "--out", str(tmp_path / "m"),
+        ])
+    assert rc == 2
+    assert named in capsys.readouterr().err

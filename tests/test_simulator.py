@@ -8,6 +8,7 @@ landing in the 526.5 Mbit/s PHY entry, whose single-contender share is
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import statistics
@@ -18,7 +19,9 @@ import pytest
 from gpqm import (
     ChannelParams,
     DemandProfile,
+    FapPlan,
     FapTrace,
+    GpqmPlan,
     PlannerConfig,
     PlanSeries,
     ScenarioTrace,
@@ -165,11 +168,39 @@ def test_scheduled_queue_takes_plan_limits_under_fixed_placement():
     assert max(m.delay_samples_s) <= bound
 
 
+def test_tick_runs_before_events_due_at_its_instant():
+    # No MCS is reachable at -60 dBm, so nothing is served; AIMD at half of
+    # 8 packets/s sends at exactly 0.25, 0.5, 0.75 and 1.0 s.
+    def plan_at(t: float, limit: int) -> GpqmPlan:
+        fap = FapPlan("s0", 89600.0, 0, 0.0, 1e6, 0.1, limit, 0.0, 0.0)
+        return GpqmPlan(t, -60.0, (50.0, 60.0, 10.0), (fap,), (0.0,))
+
+    plan = PlanSeries((plan_at(0.0, 100), plan_at(1.0, 1)), 1.0)
+    cfg = SimConfig(bootstrap_s=0.0, measure_s=1.5, placement="fixed",
+                    fixed_position=(50.0, 60.0, 10.0), baseline_tx_power_dbm=-60.0,
+                    fading=False, traffic="aimd", queue="scheduled")
+    m = simulate(static_trace(8 * 11200.0, 1.5), cfg, plan=plan)
+    # The arrival due at 1.0 s sees the limit the tick at 1.0 s set.
+    assert (m.generated, m.dropped, m.residual) == (4, 1, 3)
+
+
 def test_determinism_bit_identical():
     kw = dict(fading=True, traffic="onoff", measure_s=6.0, queue_size=50)
     a = run_single(80e6, **kw)
     b = run_single(80e6, **kw)
     assert a == b
+
+
+def test_run_leaves_no_reference_cycles():
+    # A run's packet records must be freed as soon as its metrics are, not at
+    # some later garbage collection: they can take tens of megabytes.
+    gc.collect()
+    gc.disable()
+    try:
+        run_single(80e6, traffic="onoff", measure_s=2.0, record_packets=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_seed_changes_outcome():
