@@ -164,7 +164,6 @@ def _cmd_plan(args) -> int:
     config = PlannerConfig(
         delay_threshold_s=args.delay_threshold,
         power_step_db=args.power_step,
-        update_period_s=trace.planning_period_s,
     )
     series = plan_series(trace, config)
     Path(args.out).write_text(

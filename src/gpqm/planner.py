@@ -14,21 +14,14 @@ import bisect
 import math
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams, McsEntry, McsTable, default_mcs_table, max_distance_m
+from .channel import ChannelParams, McsTable, default_mcs_table, max_distance_m
 from .errors import (
     AggregateCapacityError,
     DelayInfeasibleError,
     PlacementInfeasibleError,
     PlanningError,
 )
-from .placement import (
-    PlacementResult,
-    Point,
-    SphereConstraint,
-    Venue,
-    compute_fgw_pos,
-    feasibility_margin,
-)
+from .placement import Point, SphereConstraint, Venue, compute_fgw_pos
 from .queueing import md1_delay_s, mm1q_plr, planned_queue_size, rates_from_traffic
 from .scenario import ScenarioTrace, Snapshot, _check_type, _from_dict, _rows, _to_dict
 
@@ -74,33 +67,38 @@ class GpqmPlan:
     faps: tuple[FapPlan, ...]
     margins_m: tuple[float, ...]
 
-    def fap(self, fap_id: str) -> FapPlan:
-        for f in self.faps:
-            if f.fap_id == fap_id:
-                return f
-        raise KeyError(f"no FAP {fap_id!r} in plan")
 
-
-def _escalated_targets(
-    snapshot: Snapshot, table: McsTable, config: PlannerConfig
-) -> list[McsEntry]:
-    """Demand-matching MCS per FAP, raised until the predicted delay fits."""
-    targets = []
+def _fap_plans(snapshot: Snapshot, table: McsTable, config: PlannerConfig) -> list[FapPlan]:
+    """Size each FAP at its demand-matching MCS, raised until the predicted delay fits."""
+    fap_plans = []
     for fap in snapshot.faps:
         entry = table.for_demand(fap.demand_bps)
         while True:
             _, mu, rho = rates_from_traffic(fap.demand_bps, entry.fair_share_bps)
-            if rho < 1.0 and md1_delay_s(rho, mu) < config.delay_threshold_s:
+            delay = md1_delay_s(rho, mu) if rho < 1.0 else math.inf
+            if delay < config.delay_threshold_s:
                 break
-            nxt = table.next_entry(entry.index)
-            if nxt is None:
+            entry = table.next_entry(entry.index)
+            if entry is None:
                 raise DelayInfeasibleError(
                     f"FAP {fap.fap_id}: delay threshold {config.delay_threshold_s} s "
                     f"unreachable even at the top MCS"
                 )
-            entry = nxt
-        targets.append(entry)
-    return targets
+        queue = planned_queue_size(rho)
+        fap_plans.append(
+            FapPlan(
+                fap_id=fap.fap_id,
+                demand_bps=fap.demand_bps,
+                mcs_index=entry.index,
+                target_snr_db=entry.min_snr_db,
+                capacity_bps=entry.fair_share_bps,
+                utilisation=rho,
+                queue_pkts=queue,
+                delay_s=delay,
+                plr=mm1q_plr(rho, queue),
+            )
+        )
+    return fap_plans
 
 
 def plan_snapshot(
@@ -121,10 +119,10 @@ def plan_snapshot(
         if not venue.contains(fap.position):
             raise ValueError(f"FAP {fap.fap_id} position {fap.position} outside the venue")
 
-    targets = _escalated_targets(snapshot, table, config)
+    fap_plans = _fap_plans(snapshot, table, config)
 
     total_demand = sum(f.demand_bps for f in snapshot.faps)
-    usable = channel.mac_efficiency * max(t.phy_rate_bps for t in targets)
+    usable = channel.mac_efficiency * max(table.entry(f.mcs_index).phy_rate_bps for f in fap_plans)
     if total_demand > usable:
         raise AggregateCapacityError(
             f"total demand {total_demand / 1e6:.1f} Mbit/s exceeds usable capacity "
@@ -136,8 +134,8 @@ def plan_snapshot(
     tx_power = None
     while power <= channel.max_tx_power_dbm + 1e-9:
         spheres = [
-            SphereConstraint(fap.position, max_distance_m(channel, power, t.min_snr_db))
-            for fap, t in zip(snapshot.faps, targets)
+            SphereConstraint(fap.position, max_distance_m(channel, power, f.target_snr_db))
+            for fap, f in zip(snapshot.faps, fap_plans)
         ]
         result = compute_fgw_pos(spheres, venue)
         if result.feasible:
@@ -149,24 +147,6 @@ def plan_snapshot(
         raise PlacementInfeasibleError(
             f"no gateway position at any power up to {channel.max_tx_power_dbm} dBm "
             f"(snapshot t={snapshot.t_s} s)"
-        )
-
-    fap_plans = []
-    for fap, entry in zip(snapshot.faps, targets):
-        _, mu, rho = rates_from_traffic(fap.demand_bps, entry.fair_share_bps)
-        queue = planned_queue_size(rho)
-        fap_plans.append(
-            FapPlan(
-                fap_id=fap.fap_id,
-                demand_bps=fap.demand_bps,
-                mcs_index=entry.index,
-                target_snr_db=entry.min_snr_db,
-                capacity_bps=entry.fair_share_bps,
-                utilisation=rho,
-                queue_pkts=queue,
-                delay_s=md1_delay_s(rho, mu),
-                plr=mm1q_plr(rho, queue),
-            )
         )
     return GpqmPlan(
         t_s=snapshot.t_s,

@@ -4,13 +4,17 @@ Each FAP is an arrival source feeding a finite queue drained by a server
 whose rate is the link's instantaneous fair share (SNR to MCS at current
 positions, optional per-second Rician fading). Queue disciplines: the
 planner-scheduled drop-tail, a static drop-tail, RED and CoDel. Traffic:
-Poisson, exponential on/off, and a rate-halving AIMD approximation.
+Poisson, exponential on/off, and a rate-halving AIMD approximation. An
+on/off source draws its exponential on and off periods (mean 0.5 s) as it
+schedules; a packet due at or after the end of its on period is not sent.
 
 Everything is driven by seeded `random.Random` streams and a total event
 order, so identical inputs reproduce bit-identical metrics. Ticks, once per
-whole second, set positions, rates and scheduled queue limits: a tick runs
-after every event due before it and before any event due at its instant;
-other events due at the same time run in the order they were scheduled.
+whole second, set positions, rates, scheduled queue limits, Poisson's rate and
+AIMD's ceiling (on/off reads the demand at each packet): a tick runs after
+every event due before it and before any event due at its instant; other
+events due at the same time run in the order they were scheduled. The event
+heap holds only packet arrivals and departures.
 """
 
 from __future__ import annotations
@@ -229,11 +233,10 @@ class _Fap:
         self.serving = None
         self.rate_bps = 0.0
         self.prop_s = 0.0
-        demand0 = trace_fap.demand.at(0.0)
-        self.poisson_pps = demand0 / _BITS_PER_PKT
-        self.epoch = 0  # on/off toggles; the source is on in even epochs
-        self.aimd_max_bps = demand0
-        self.aimd_rate_bps = demand0 / 2.0
+        self.demand_bps = trace_fap.demand.at(0.0)  # Poisson's rate, AIMD's ceiling
+        self.aimd_rate_bps = self.demand_bps / 2.0
+        # End of an on/off source's on period: a draw for any other would shift its arrivals.
+        self.off_at = self.arr_rng.expovariate(2.0) if config.traffic == "onoff" else math.inf
         self.generated = 0
         self.delivered = 0
         self.dropped = 0
@@ -291,26 +294,30 @@ def simulate(
     traffic = config.traffic
     deterministic = config.service_mode == "deterministic"
 
-    # Entries are (t, seq, handler, fap, epoch); seq is unique, so ties never
-    # compare handlers or FAPs and equal times pop in the order they were pushed.
+    # Entries are (t, seq, handler, fap); seq is unique, so ties never compare
+    # handlers or FAPs and equal times pop in the order they were pushed.
     heap: list = []
     seq = count()
 
-    def push(t: float, handler, f: _Fap, epoch: int = 0) -> None:
-        heapq.heappush(heap, (t, next(seq), handler, f, epoch))
+    def push(t: float, handler, f: _Fap) -> None:
+        heapq.heappush(heap, (t, next(seq), handler, f))
 
     def schedule_arrival(f: _Fap, now: float) -> None:
-        """Push the source's next arrival after `now`; a zero rate leaves it silent."""
+        """Push the next arrival after `now` of a source that has demand."""
         if traffic == "poisson":
-            if f.poisson_pps > 0.0:
-                push(now + f.arr_rng.expovariate(f.poisson_pps), arrival, f)
-        elif traffic == "onoff":
-            if f.epoch % 2 == 0:
-                rate = f.trace.demand.at(now)
-                if rate > 0.0:
-                    push(now + _BITS_PER_PKT / rate, arrival, f, f.epoch)
-        elif f.aimd_rate_bps > 0.0:
+            push(now + f.arr_rng.expovariate(f.demand_bps / _BITS_PER_PKT), arrival, f)
+        elif traffic == "aimd":
             push(now + _BITS_PER_PKT / f.aimd_rate_bps, arrival, f)
+        else:
+            # Skip to the next on period until the packet fits in one or the run ends.
+            t = now + _BITS_PER_PKT / f.trace.demand.at(now)
+            while t >= f.off_at:
+                if f.off_at >= duration:
+                    return
+                start = f.off_at + f.arr_rng.expovariate(2.0)
+                f.off_at = start + f.arr_rng.expovariate(2.0)
+                t = start + _BITS_PER_PKT / f.trace.demand.at(start)
+            push(t, arrival, f)
 
     thr_bins: dict[int, float] = {}
     delay_samples: list[float] = []
@@ -369,13 +376,10 @@ def simulate(
         for f in faps:
             if sched is not None:
                 f.queue.limit = sched[f.trace.fap_id]
-            if traffic == "poisson":
-                f.poisson_pps = f.trace.demand.at(now) / _BITS_PER_PKT
+            f.demand_bps = f.trace.demand.at(now)
             serve(f, now)
 
-    def arrival(f: _Fap, now: float, epoch: int) -> None:
-        if epoch != f.epoch:  # sent in an on/off period that has ended
-            return
+    def arrival(f: _Fap, now: float) -> None:
         f.generated += 1
         if in_window_lo <= now < duration:
             f.w_generated += 1
@@ -387,7 +391,7 @@ def simulate(
             note_drop(f, now, now)
         schedule_arrival(f, now)
 
-    def departure(f: _Fap, now: float, _epoch: int) -> None:
+    def departure(f: _Fap, now: float) -> None:
         created = f.serving
         f.serving = None
         delivered_at = now + f.prop_s
@@ -402,28 +406,22 @@ def simulate(
                 PacketRecord(f.trace.fap_id, created, delivered_at, False, delivered_at - created)
             )
         if traffic == "aimd":
-            f.aimd_rate_bps = min(f.aimd_rate_bps + _BITS_PER_PKT, f.aimd_max_bps)
+            f.aimd_rate_bps = min(f.aimd_rate_bps + _BITS_PER_PKT, f.demand_bps)
         serve(f, now)
 
-    def toggle(f: _Fap, now: float, _epoch: int) -> None:
-        f.epoch += 1
-        push(now + f.arr_rng.expovariate(2.0), toggle, f)
-        schedule_arrival(f, now)
-
     for f in faps:
-        if traffic == "onoff" and f.trace.demand.at(0.0) > 0.0:
-            push(f.arr_rng.expovariate(2.0), toggle, f)
-        schedule_arrival(f, 0.0)
+        if f.trace.demand.at(0.0) > 0.0:  # a silent source stays silent (see DemandProfile)
+            schedule_arrival(f, 0.0)
     # A tick runs before the events due at its instant (see the module docstring).
     for tb in range(int(math.ceil(duration))):
         tick(float(tb))
         until = min(tb + 1.0, duration)
         while heap and heap[0][0] < until:
-            now, _, handler, f, epoch = heapq.heappop(heap)
-            handler(f, now, epoch)
+            now, _, handler, f = heapq.heappop(heap)
+            handler(f, now)
     # Break the handlers' reference cycles so the run's records are freed on return.
     heap.clear()
-    del arrival, departure, toggle
+    del arrival, departure
 
     samples = tuple(thr_bins.get(s, 0.0) for s in range(int(round(config.measure_s))))
     return SimMetrics(

@@ -174,6 +174,7 @@ def _formation_scenario(seed: int) -> ScenarioTrace:
     )
 
 
+@pytest.mark.slow
 def test_ac4_beats_static_baseline_on_congested_scenarios():
     t0 = time.monotonic()
     delay_wins = 0
@@ -276,6 +277,7 @@ def _shannon_grid_optimum(problem: OptProblem, step_m: float = 0.5) -> float:
     return float(objective.min())
 
 
+@pytest.mark.slow
 def test_ac6_solver_benchmark_directional():
     from gpqm import run_benchmark
 

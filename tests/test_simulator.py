@@ -302,6 +302,25 @@ def test_onoff_duty_cycle_halves_goodput():
     assert 0.3 * demand < goodput < 0.7 * demand
 
 
+def test_onoff_source_slower_than_its_on_periods_stays_silent():
+    # One packet per 100 s never fits in an on period (mean 0.5 s); the source
+    # skips periods only until the end of the run.
+    m = run_single(112.0, traffic="onoff", bootstrap_s=0.0, measure_s=2.0)
+    assert m.generated == 0
+
+
+def test_aimd_ceiling_follows_a_demand_schedule():
+    one = generate_rwm(n_faps=1, duration_s=4.0, seed=6)
+    cfg = SimConfig(bootstrap_s=1.0, measure_s=3.0, placement="venue-center",
+                    queue="droptail", traffic="aimd")
+
+    def generated(demand: DemandProfile) -> int:
+        return simulate(replace(one, faps=(replace(one.faps[0], demand=demand),)), cfg).generated
+
+    step = generated(DemandProfile(schedule=((0.0, 5e6), (1.0, 50e6))))
+    assert step > 2 * generated(DemandProfile(constant_bps=5e6))
+
+
 def test_aimd_backs_off_under_congestion():
     demand = 1.2 * MU_PPS * 11200.0
     m = run_single(demand, traffic="aimd", queue_size=10, measure_s=10.0)
@@ -430,6 +449,9 @@ GOLDEN_CELLS = {
     },
     "shared-nofade": ("rwm", dict(queue="droptail", channel_mode="shared", fading=False)),
     "exponential": ("rwm", dict(queue="droptail", service_mode="exponential")),
+    "onoff-shared-exponential-centroid": ("rwm", dict(
+        placement="centroid", queue="droptail", traffic="onoff", channel_mode="shared",
+        service_mode="exponential")),
     "centroid": ("rwm", dict(placement="centroid", queue="droptail")),
     "venue-center": ("rwm", dict(placement="venue-center", queue="droptail")),
     **{
@@ -452,10 +474,12 @@ GOLDEN_SHA256 = {
     "droptail-onoff": "a68d0c17da15fd5634b9d749b85fadc4847a1c23884f359d797c462751fb8579",
     "droptail-poisson": "bbe6303320b077cb94d70400ce7cef02b4756f177c9067575b1d6a94d5199cf7",
     "exponential": "88f8c7cd5fb24f270395878e2fb406f493672834cea1d1fd1046c61dbb764243",
+    "onoff-shared-exponential-centroid":
+        "31990f136f1b92eba331df7b7f88a9c80609290bdc9a58211ca901c0a3346867",
     "red-aimd": "c6694ebe66d5072730541eee09e03275b0709ed51a7b11edc01a7d3da20f7558",
     "red-onoff": "91d1319fdce8255458a64cca62ced9cdc98b552941bbde8da9675ef27753d70b",
     "red-poisson": "52bea06494973452d2b7d2bfb2fe8d4098000ed9375545694ad12384422ab471",
-    "schedule-aimd": "4200eb0968538baf75765cee9b7f9cf558cf36ba9779a5894330113abbf032cb",
+    "schedule-aimd": "380e42d5bf961806bf5e48b06a516bf89324a5ff7d461cc5ef1c8f8677981e44",
     "schedule-onoff": "238025e47cab4799e416cd0a981132ff77a6288928aceb6b888134db1924b42a",
     "schedule-poisson": "474988d1af98fc3f5c461acfbbeb048bcff780ad578eb16d015d071512a63343",
     "scheduled-aimd": "21c704e2e8d3e5773451ec9b885d540ae7f32c4d5c6cb39e5d2916d88a88cef5",
