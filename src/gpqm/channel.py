@@ -136,13 +136,6 @@ class McsTable:
                 return e
         raise KeyError(f"no MCS with index {index}")
 
-    def next_entry(self, index: int) -> McsEntry | None:
-        """Entry one step above `index`, or None at the top of the ladder."""
-        for pos, e in enumerate(self.entries):
-            if e.index == index:
-                return self.entries[pos + 1] if pos + 1 < len(self.entries) else None
-        raise KeyError(f"no MCS with index {index}")
-
     def for_demand(self, demand_bps: float) -> McsEntry:
         """Lowest entry whose fair share covers the demand."""
         if demand_bps <= 0.0:
@@ -219,6 +212,16 @@ def shannon_capacity_bps(bandwidth_hz: float, snr_db: float) -> float:
     if bandwidth_hz < 0.0:
         raise ValueError("bandwidth must be non-negative")
     return bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+
+
+_REGRESSION = fit_rate_model(calibrated_mcs_table())
+
+
+def capacity_bps(model: str, params: ChannelParams, snr_db: float) -> float:
+    """Capacity at an SNR: "regression" is the fit through the calibrated ladder, else Shannon."""
+    if model == "regression":
+        return _REGRESSION.capacity_bps(snr_db)
+    return shannon_capacity_bps(params.bandwidth_hz, snr_db)
 
 
 def rician_snr_sample(mean_snr_db: float, k_factor_db: float, rng) -> float:

@@ -15,14 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .channel import (
-    ChannelParams,
-    calibrated_mcs_table,
-    fit_rate_model,
-    friis_snr_db,
-    max_distance_m,
-    shannon_capacity_bps,
-)
+from .channel import ChannelParams, capacity_bps, friis_snr_db, max_distance_m
 from .errors import PlanningError
 from .placement import SphereConstraint, Venue, sphere_pair_analysis
 from .planner import (
@@ -32,6 +25,7 @@ from .planner import (
     plan_series_to_json,
 )
 from .scenario import (
+    DEFAULT_PLANNING_PERIOD_S,
     MobilityParams,
     generate_rwm,
     load_scenario,
@@ -39,8 +33,10 @@ from .scenario import (
     save_waypoints,
 )
 from .simulator import (
+    CHANNEL_MODES,
     PLACEMENTS,
     QUEUES,
+    SERVICE_MODES,
     TRAFFIC_MODELS,
     SimConfig,
     merge_metrics,
@@ -63,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--faps", type=int, default=3)
     g.add_argument("--duration", type=float, default=100.0, help="trace length in s")
     g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--planning-period", type=float, default=5.0)
+    g.add_argument("--planning-period", type=float, default=DEFAULT_PLANNING_PERIOD_S)
     g.add_argument("--demand-fraction", type=float, action="append", default=None,
                    help="fraction of the reference fair share; repeat to cycle")
     g.add_argument("--demand", type=float, action="append", default=None,
@@ -72,42 +68,47 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fix all FAP altitudes to this height")
     g.add_argument("--out", required=True, help="scenario JSON path")
     g.add_argument("--waypoints-out", default=None, help="optional waypoint text export")
+    g.set_defaults(run=_cmd_generate)
 
     p = sub.add_parser("plan", help="plan a scenario into a plan-series JSON")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--delay-threshold", type=float, default=0.010, help="seconds")
-    p.add_argument("--power-step", type=float, default=1.0, help="dB")
+    p.add_argument("--delay-threshold", type=float, default=PlannerConfig.delay_threshold_s,
+                   help="seconds")
+    p.add_argument("--power-step", type=float, default=PlannerConfig.power_step_db, help="dB")
     p.add_argument("--out", required=True, help="plan JSON path")
+    p.set_defaults(run=_cmd_plan)
 
     s = sub.add_parser("simulate", help="simulate a scenario under a policy")
     s.add_argument("--scenario", required=True)
     s.add_argument("--plan", default=None, help="plan JSON (required for gpqm policy)")
-    s.add_argument("--policy", choices=[p for p in PLACEMENTS if p != "fixed"], default="gpqm")
+    s.add_argument("--policy", choices=[p for p in PLACEMENTS if p != "fixed"],
+                   default=SimConfig.placement)
     s.add_argument("--queue", choices=QUEUES, default=None,
                    help="default: scheduled for gpqm, droptail otherwise")
-    s.add_argument("--queue-size", type=int, default=100)
-    s.add_argument("--seed", type=int, default=1)
+    s.add_argument("--queue-size", type=int, default=SimConfig.queue_size)
+    s.add_argument("--seed", type=int, default=SimConfig.seed)
     s.add_argument("--runs", type=int, default=1)
     s.add_argument("--out", required=True, help="output directory")
-    s.add_argument("--channel-mode", choices=("independent", "shared"), default="independent")
+    s.add_argument("--channel-mode", choices=CHANNEL_MODES, default=SimConfig.channel_mode)
     s.add_argument("--fading", choices=("on", "off"), default="on")
-    s.add_argument("--traffic", choices=TRAFFIC_MODELS, default="poisson")
-    s.add_argument("--bootstrap", type=float, default=30.0)
-    s.add_argument("--measure", type=float, default=70.0)
-    s.add_argument("--baseline-power", type=float, default=20.0)
-    s.add_argument("--service-mode", choices=("deterministic", "exponential"),
-                   default="deterministic")
+    s.add_argument("--traffic", choices=TRAFFIC_MODELS, default=SimConfig.traffic)
+    s.add_argument("--bootstrap", type=float, default=SimConfig.bootstrap_s)
+    s.add_argument("--measure", type=float, default=SimConfig.measure_s)
+    s.add_argument("--baseline-power", type=float, default=SimConfig.baseline_tx_power_dbm)
+    s.add_argument("--service-mode", choices=SERVICE_MODES, default=SimConfig.service_mode)
     s.add_argument("--packets-csv", action="store_true", help="also write per-packet rows")
+    s.set_defaults(run=_cmd_simulate)
 
     b = sub.add_parser("benchmark", help="planner vs PSO on static instances")
     b.add_argument("--faps", type=int, default=3)
     b.add_argument("--instances", type=int, default=5)
     b.add_argument("--seed", type=int, default=7)
     b.add_argument("--capacity-model", choices=("regression", "shannon"), default="regression")
-    b.add_argument("--pso-iterations", type=int, default=2000)
-    b.add_argument("--pso-swarm", type=int, default=50)
+    b.add_argument("--pso-iterations", type=int, default=PsoParams.iterations)
+    b.add_argument("--pso-swarm", type=int, default=PsoParams.swarm)
     b.add_argument("--sim-runs", type=int, default=3)
     b.add_argument("--out", required=True, help="CSV path")
+    b.set_defaults(run=_cmd_benchmark)
 
     a = sub.add_parser("analyze", help="analysis utilities")
     asub = a.add_subparsers(dest="analysis", required=True)
@@ -120,12 +121,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--power", type=float, default=20.0, help="transmit power in dBm")
     ap.add_argument("--capacity-model", choices=("shannon", "regression"), default="shannon")
     ap.add_argument("--out", required=True, help="result JSON path")
+    ap.set_defaults(run=_cmd_analyze_pair)
 
     ac = asub.add_parser("cdf", help="CDF/CCDF tables and percentiles from run dirs")
     ac.add_argument("--metrics", action="append", required=True,
                     help="run directory written by simulate; repeat to pool")
     ac.add_argument("--percentile", type=float, default=90.0)
     ac.add_argument("--out", required=True, help="result JSON path")
+    ac.set_defaults(run=_cmd_analyze_cdf)
 
     return parser
 
@@ -290,14 +293,9 @@ def _cmd_analyze_pair(args) -> int:
         SphereConstraint(_parse_point(f), max_distance_m(channel, args.power, snr))
         for f, snr in zip(args.fap, args.snr)
     ]
-    if args.capacity_model == "shannon":
-        def capacity(d: float) -> float:
-            return shannon_capacity_bps(channel.bandwidth_hz, friis_snr_db(channel, args.power, d))
-    else:
-        model = fit_rate_model(calibrated_mcs_table())
 
-        def capacity(d: float) -> float:
-            return model.capacity_bps(friis_snr_db(channel, args.power, d))
+    def capacity(d: float) -> float:
+        return capacity_bps(args.capacity_model, channel, friis_snr_db(channel, args.power, d))
 
     result = sphere_pair_analysis(spheres[0], spheres[1], venue, capacity)
     payload = {
@@ -373,19 +371,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "plan":
-            return _cmd_plan(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "benchmark":
-            return _cmd_benchmark(args)
-        if args.command == "analyze":
-            if args.analysis == "pair":
-                return _cmd_analyze_pair(args)
-            return _cmd_analyze_cdf(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except PlanningError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -395,7 +381,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -94,8 +94,6 @@ def _coverage_gap(point: Point, spheres: list[SphereConstraint]) -> float:
 
 
 def _separation_gap(point: Point, spheres: list[SphereConstraint], min_sep: float) -> float:
-    if min_sep <= 0.0:
-        return -math.inf
     return max(min_sep - math.dist(point, s.center) for s in spheres)
 
 

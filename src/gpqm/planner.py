@@ -23,7 +23,9 @@ from .errors import (
 )
 from .placement import Point, SphereConstraint, Venue, compute_fgw_pos
 from .queueing import md1_delay_s, mm1q_plr, planned_queue_size, rates_from_traffic
-from .scenario import ScenarioTrace, Snapshot, _check_type, _from_dict, _rows, _to_dict
+from .scenario import (
+    DEFAULT_PLANNING_PERIOD_S, ScenarioTrace, Snapshot, _check_type, _from_dict, _rows, _to_dict,
+)
 
 SLACK_TOL_M = 1e-9
 
@@ -33,7 +35,7 @@ class PlannerConfig:
     delay_threshold_s: float = 0.010
     power_step_db: float = 1.0
     min_tx_power_dbm: float = 0.0
-    update_period_s: float = 5.0
+    update_period_s: float = DEFAULT_PLANNING_PERIOD_S
 
     def __post_init__(self) -> None:
         if self.delay_threshold_s <= 0.0:
@@ -72,18 +74,17 @@ def _fap_plans(snapshot: Snapshot, table: McsTable, config: PlannerConfig) -> li
     """Size each FAP at its demand-matching MCS, raised until the predicted delay fits."""
     fap_plans = []
     for fap in snapshot.faps:
-        entry = table.for_demand(fap.demand_bps)
-        while True:
+        first = table.entries.index(table.for_demand(fap.demand_bps))
+        for entry in table.entries[first:]:
             _, mu, rho = rates_from_traffic(fap.demand_bps, entry.fair_share_bps)
             delay = md1_delay_s(rho, mu) if rho < 1.0 else math.inf
             if delay < config.delay_threshold_s:
                 break
-            entry = table.next_entry(entry.index)
-            if entry is None:
-                raise DelayInfeasibleError(
-                    f"FAP {fap.fap_id}: delay threshold {config.delay_threshold_s} s "
-                    f"unreachable even at the top MCS"
-                )
+        else:
+            raise DelayInfeasibleError(
+                f"FAP {fap.fap_id}: delay threshold {config.delay_threshold_s} s "
+                f"unreachable even at the top MCS"
+            )
         queue = planned_queue_size(rho)
         fap_plans.append(
             FapPlan(

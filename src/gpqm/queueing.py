@@ -12,6 +12,7 @@ import math
 from .errors import SaturationError
 
 DEFAULT_PACKET_SIZE_BYTES = 1400
+PACKET_BITS = 8.0 * DEFAULT_PACKET_SIZE_BYTES
 
 
 def rates_from_traffic(

@@ -19,6 +19,8 @@ from .placement import Point, Venue
 
 Waypoint = tuple[float, float, float, float]  # (t_s, x, y, z)
 
+DEFAULT_PLANNING_PERIOD_S = 5.0
+
 
 @dataclass(frozen=True)
 class MobilityParams:
@@ -144,10 +146,10 @@ class ScenarioTrace:
     mcs_overrides: tuple[McsEntry, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0.0:
-            raise ValueError("duration must be positive")
-        if self.planning_period_s < 1.0:
-            raise ValueError("planning period must be at least 1 s")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError(f"duration must be positive and finite, not {self.duration_s}")
+        if not 1.0 <= self.planning_period_s < math.inf:
+            raise ValueError("planning period must be finite and at least 1 s")
         ids = [f.fap_id for f in self.faps]
         if len(set(ids)) != len(ids):
             raise ValueError("FAP ids must be unique")
@@ -202,6 +204,8 @@ def _random_point(rng: random.Random, venue: Venue, mobility: MobilityParams) ->
 def _random_waypoints(
     rng: random.Random, venue: Venue, mobility: MobilityParams, duration_s: float
 ) -> tuple[Waypoint, ...]:
+    if not math.isfinite(duration_s):
+        raise ValueError(f"duration must be positive and finite, not {duration_s}")
     pos = _random_point(rng, venue, mobility)
     t = 0.0
     points = [(t, *pos)]
@@ -226,7 +230,7 @@ def generate_rwm(
     venue: Venue | None = None,
     channel: ChannelParams | None = None,
     mobility: MobilityParams | None = None,
-    planning_period_s: float = 5.0,
+    planning_period_s: float = DEFAULT_PLANNING_PERIOD_S,
     demands_bps: list[float] | None = None,
     demand_fractions: tuple[float, ...] = DEFAULT_DEMAND_FRACTIONS,
 ) -> ScenarioTrace:
@@ -422,7 +426,7 @@ def scenario_from_json(data: dict) -> ScenarioTrace:
         channel=_from_dict(ChannelParams, data["channel"]),
         faps=tuple(faps),
         duration_s=duration,
-        planning_period_s=float(data.get("planning_period_s", 5.0)),
+        planning_period_s=float(data.get("planning_period_s", DEFAULT_PLANNING_PERIOD_S)),
         seed=seed,
         mobility=mobility,
         mcs_overrides=tuple(_from_dict(McsEntry, e) for e in data.get("mcs_overrides", [])),

@@ -29,10 +29,8 @@ from itertools import count
 
 from .channel import SPEED_OF_LIGHT_MPS, friis_snr_db, rician_snr_sample
 from .planner import PlanSeries
-from .queueing import DEFAULT_PACKET_SIZE_BYTES
+from .queueing import PACKET_BITS
 from .scenario import ScenarioTrace
-
-_BITS_PER_PKT = 8.0 * DEFAULT_PACKET_SIZE_BYTES
 
 # RED drops early between a quarter and three quarters of the queue size.
 _RED_MAX_P = 0.1
@@ -44,6 +42,8 @@ _CODEL_LIMIT_PKTS = 1000
 PLACEMENTS = ("gpqm", "centroid", "venue-center", "fixed")
 QUEUES = ("scheduled", "droptail", "red", "codel")
 TRAFFIC_MODELS = ("poisson", "onoff", "aimd")
+CHANNEL_MODES = ("independent", "shared")
+SERVICE_MODES = ("deterministic", "exponential")
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ class SimConfig:
     queue: str = "scheduled"
     queue_size: int = 100
     traffic: str = "poisson"
-    channel_mode: str = "independent"  # independent | shared
+    channel_mode: str = "independent"
     fading: bool = True
-    service_mode: str = "deterministic"  # deterministic | exponential
+    service_mode: str = "deterministic"
     baseline_tx_power_dbm: float = 20.0
     fixed_position: tuple[float, float, float] | None = None
     record_packets: bool = False
@@ -70,9 +70,9 @@ class SimConfig:
             raise ValueError(f"unknown queue discipline {self.queue!r}")
         if self.traffic not in TRAFFIC_MODELS:
             raise ValueError(f"unknown traffic model {self.traffic!r}")
-        if self.channel_mode not in ("independent", "shared"):
+        if self.channel_mode not in CHANNEL_MODES:
             raise ValueError(f"unknown channel mode {self.channel_mode!r}")
-        if self.service_mode not in ("deterministic", "exponential"):
+        if self.service_mode not in SERVICE_MODES:
             raise ValueError(f"unknown service mode {self.service_mode!r}")
         if self.bootstrap_s < 0.0 or self.measure_s <= 0.0:
             raise ValueError("bootstrap must be >= 0 and measure > 0")
@@ -305,18 +305,18 @@ def simulate(
     def schedule_arrival(f: _Fap, now: float) -> None:
         """Push the next arrival after `now` of a source that has demand."""
         if traffic == "poisson":
-            push(now + f.arr_rng.expovariate(f.demand_bps / _BITS_PER_PKT), arrival, f)
+            push(now + f.arr_rng.expovariate(f.demand_bps / PACKET_BITS), arrival, f)
         elif traffic == "aimd":
-            push(now + _BITS_PER_PKT / f.aimd_rate_bps, arrival, f)
+            push(now + PACKET_BITS / f.aimd_rate_bps, arrival, f)
         else:
             # Skip to the next on period until the packet fits in one or the run ends.
-            t = now + _BITS_PER_PKT / f.trace.demand.at(now)
+            t = now + PACKET_BITS / f.trace.demand.at(now)
             while t >= f.off_at:
                 if f.off_at >= duration:
                     return
                 start = f.off_at + f.arr_rng.expovariate(2.0)
                 f.off_at = start + f.arr_rng.expovariate(2.0)
-                t = start + _BITS_PER_PKT / f.trace.demand.at(start)
+                t = start + PACKET_BITS / f.trace.demand.at(start)
             push(t, arrival, f)
 
     thr_bins: dict[int, float] = {}
@@ -330,7 +330,7 @@ def simulate(
         if in_window_lo <= now < duration:
             f.w_dropped += 1
         if traffic == "aimd":
-            f.aimd_rate_bps = max(f.aimd_rate_bps * 0.5, _BITS_PER_PKT)
+            f.aimd_rate_bps = max(f.aimd_rate_bps * 0.5, PACKET_BITS)
         if record:
             records.append(PacketRecord(f.trace.fap_id, created, None, True, None))
 
@@ -345,9 +345,9 @@ def simulate(
             return
         f.serving = pkt
         if deterministic:
-            st = _BITS_PER_PKT / f.rate_bps
+            st = PACKET_BITS / f.rate_bps
         else:
-            st = f.srv_rng.expovariate(f.rate_bps / _BITS_PER_PKT)
+            st = f.srv_rng.expovariate(f.rate_bps / PACKET_BITS)
         push(now + st, departure, f)
 
     def tick(now: float) -> None:
@@ -400,13 +400,13 @@ def simulate(
             f.w_delivered += 1
             delay_samples.append(delivered_at - created)
             second = int(delivered_at - in_window_lo)
-            thr_bins[second] = thr_bins.get(second, 0.0) + _BITS_PER_PKT
+            thr_bins[second] = thr_bins.get(second, 0.0) + PACKET_BITS
         if record:
             records.append(
                 PacketRecord(f.trace.fap_id, created, delivered_at, False, delivered_at - created)
             )
         if traffic == "aimd":
-            f.aimd_rate_bps = min(f.aimd_rate_bps + _BITS_PER_PKT, f.demand_bps)
+            f.aimd_rate_bps = min(f.aimd_rate_bps + PACKET_BITS, f.demand_bps)
         serve(f, now)
 
     for f in faps:
@@ -440,7 +440,7 @@ def simulate(
         window_dropped=sum(f.w_dropped for f in faps),
         # exact: every delivered packet adds the same whole number of bits
         per_fap_goodput_bps={
-            f.trace.fap_id: f.w_delivered * _BITS_PER_PKT / config.measure_s for f in faps
+            f.trace.fap_id: f.w_delivered * PACKET_BITS / config.measure_s for f in faps
         },
         packets=tuple(records),
     )

@@ -11,9 +11,9 @@ of sojourn against the default bound — as solver-precision noise, the way
 any continuous NLP solver states a feasibility tolerance.
 
 Links carry DEFAULT_PACKET_SIZE_BYTES packets, as in the planner and the
-simulator. The regression model (the linear fit through the calibrated MCS
-ladder), its aggregate cap and the swarm's coefficients are module constants;
-the first two are computed once, at import.
+simulator. Both capacity models come from `channel.capacity_bps`. The
+regression model's aggregate cap and the swarm's coefficients are module
+constants; the cap is computed once, at import.
 """
 
 from __future__ import annotations
@@ -28,17 +28,17 @@ from .channel import (
     ChannelParams,
     McsTable,
     calibrated_mcs_table,
+    capacity_bps,
     default_mcs_table,
-    fit_rate_model,
     friis_snr_db,
-    shannon_capacity_bps,
 )
 from .errors import PlanningError
 from .placement import Point, Venue
 from .planner import FapPlan, GpqmPlan, PlannerConfig, PlanSeries, plan_snapshot
-from .queueing import DEFAULT_PACKET_SIZE_BYTES, md1_delay_s, mm1q_plr, planned_queue_size
+from .queueing import PACKET_BITS, md1_delay_s, mm1q_plr, planned_queue_size
 from .scenario import (
     DEFAULT_DEMAND_FRACTIONS,
+    DEFAULT_PLANNING_PERIOD_S,
     DemandProfile,
     FapState,
     FapTrace,
@@ -49,8 +49,6 @@ from .scenario import (
 from .simulator import SimConfig, merge_metrics, simulate
 
 _SATURATED_DELAY_MAGNITUDE = 1e3
-_BITS_PER_PKT = 8.0 * DEFAULT_PACKET_SIZE_BYTES
-_RATE_MODEL = fit_rate_model(calibrated_mcs_table())
 _CALIBRATED_TOP_PHY_BPS = calibrated_mcs_table().top.phy_rate_bps
 
 _OMEGA = 0.72
@@ -76,7 +74,7 @@ class OptProblem:
     snapshot: Snapshot
     channel: ChannelParams
     venue: Venue
-    delay_threshold_s: float = 0.010
+    delay_threshold_s: float = PlannerConfig.delay_threshold_s
     capacity_model: str = "regression"  # regression | shannon
 
     def __post_init__(self) -> None:
@@ -102,9 +100,7 @@ class OptProblem:
         )
 
     def capacity_bps(self, snr_db: float) -> float:
-        if self.capacity_model == "regression":
-            return _RATE_MODEL.capacity_bps(snr_db)
-        return shannon_capacity_bps(self.channel.bandwidth_hz, snr_db)
+        return capacity_bps(self.capacity_model, self.channel, snr_db)
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ def evaluate(problem: OptProblem, x) -> SolverEval:
 
         rho = fap.demand_bps / cap if cap > 0.0 else math.inf
         if rho < 1.0:
-            delay = md1_delay_s(rho, cap / _BITS_PER_PKT)
+            delay = md1_delay_s(rho, cap / PACKET_BITS)
             excess = (delay - problem.delay_threshold_s) / problem.delay_threshold_s
             if excess > FEASIBILITY_TOL:
                 violations.append((f"delay_bound:{fap.fap_id}", excess))
@@ -293,7 +289,7 @@ def solver_plan(
         rho = fap.demand_bps / cap if cap > 0.0 else math.inf
         saturated = rho >= 1.0
         queue = 100 if saturated else planned_queue_size(rho)
-        delay = math.inf if saturated else md1_delay_s(rho, cap / _BITS_PER_PKT)
+        delay = math.inf if saturated else md1_delay_s(rho, cap / PACKET_BITS)
         faps.append(
             FapPlan(
                 fap_id=fap.fap_id,
@@ -365,7 +361,7 @@ def _static_trace(
         channel=channel,
         faps=faps,
         duration_s=duration_s,
-        planning_period_s=5.0,
+        planning_period_s=DEFAULT_PLANNING_PERIOD_S,
         seed=seed,
     )
 

@@ -12,7 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from gpqm import cli, load_scenario
+from gpqm import (
+    PlannerConfig,
+    PsoParams,
+    SimConfig,
+    cli,
+    load_scenario,
+    reference_fair_share_bps,
+)
+from gpqm.scenario import DEFAULT_PLANNING_PERIOD_S
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +65,42 @@ def test_generate_writes_loadable_scenario(pipeline):
     assert len(trace.faps) == 3
     assert trace.duration_s == 40.0
     assert pipeline["waypoints"].read_text().strip()
+
+
+def test_generate_cycles_demand_fractions(tmp_path):
+    scenario = tmp_path / "s.json"
+    assert cli.main([
+        "generate", "--faps", "3", "--duration", "10", "--seed", "2",
+        "--demand-fraction", "0.5", "--demand-fraction", "0.2", "--out", str(scenario),
+    ]) == 0
+    ref = reference_fair_share_bps(3)
+    demands = [f.demand.at(0.0) for f in load_scenario(scenario).faps]
+    assert demands == [0.5 * ref, 0.2 * ref, 0.5 * ref]
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = cli._build_parser()
+    sim = parser.parse_args(["simulate", "--scenario", "s.json", "--out", "m"])
+    assert SimConfig() == SimConfig(
+        bootstrap_s=sim.bootstrap,
+        measure_s=sim.measure,
+        seed=sim.seed,
+        placement=sim.policy,
+        queue_size=sim.queue_size,
+        traffic=sim.traffic,
+        channel_mode=sim.channel_mode,
+        fading=sim.fading == "on",
+        service_mode=sim.service_mode,
+        baseline_tx_power_dbm=sim.baseline_power,
+    )
+    plan = parser.parse_args(["plan", "--scenario", "s.json", "--out", "p.json"])
+    assert PlannerConfig() == PlannerConfig(
+        delay_threshold_s=plan.delay_threshold, power_step_db=plan.power_step
+    )
+    bench = parser.parse_args(["benchmark", "--out", "b.csv"])
+    assert PsoParams() == PsoParams(swarm=bench.pso_swarm, iterations=bench.pso_iterations)
+    gen = parser.parse_args(["generate", "--out", "s.json"])
+    assert gen.planning_period == DEFAULT_PLANNING_PERIOD_S
 
 
 def test_plan_file_covers_sampling_grid(pipeline):
@@ -156,6 +200,23 @@ def test_exit_usage_on_malformed_point(tmp_path):
         "--snr", "15", "--snr", "15", "--out", str(tmp_path / "x.json"),
     ])
     assert rc == 2
+
+
+def test_exit_usage_on_single_fap_pair(tmp_path, capsys):
+    rc = cli.main([
+        "analyze", "pair", "--fap", "30,50,10", "--snr", "15", "--snr", "15",
+        "--out", str(tmp_path / "x.json"),
+    ])
+    assert rc == 2
+    assert "exactly two --fap and two --snr" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_exit_usage_on_nan_duration(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert cli.main(["generate", "--duration", "nan", "--out", str(out)]) == 2
+    assert "duration" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_usage_when_plan_missing_for_gpqm(tmp_path):

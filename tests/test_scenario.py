@@ -257,6 +257,17 @@ def test_trace_validation():
         MobilityParams(speed_min_mps=5.0, speed_max_mps=1.0)
 
 
+@pytest.mark.parametrize(
+    "duration, period",
+    [(math.nan, 5.0), (math.inf, 5.0), (10.0, math.nan), (10.0, math.inf)],
+    ids=["duration-nan", "duration-inf", "period-nan", "period-inf"],
+)
+def test_trace_rejects_non_finite_duration_and_period(duration, period):
+    base = generate_rwm(n_faps=2, duration_s=10.0, seed=1)
+    with pytest.raises(ValueError):
+        replace(base, duration_s=duration, planning_period_s=period)
+
+
 def test_mcs_override_merging():
     from gpqm import McsEntry
 
