@@ -51,14 +51,18 @@ class ChannelParams:
     rician_k_db: float = 13.0
 
     def __post_init__(self) -> None:
-        if self.carrier_frequency_hz <= 0.0:
-            raise ValueError("carrier frequency must be positive")
-        if self.bandwidth_hz < 0.0:
-            raise ValueError("bandwidth must be non-negative")
+        if not 0.0 < self.carrier_frequency_hz < math.inf:
+            raise ValueError("carrier frequency must be positive and finite")
+        if not math.isfinite(self.noise_power_dbm):
+            raise ValueError("noise power must be finite")
+        if not 0.0 <= self.bandwidth_hz < math.inf:
+            raise ValueError("bandwidth must be non-negative and finite")
         if not 0.0 < self.mac_efficiency <= 1.0:
             raise ValueError("MAC efficiency must be in (0, 1]")
-        if self.max_tx_power_dbm < 0.0:
-            raise ValueError("max tx power must be non-negative")
+        if not 0.0 <= self.max_tx_power_dbm < math.inf:
+            raise ValueError("max tx power must be non-negative and finite")
+        if math.isnan(self.rician_k_db):
+            raise ValueError("Rician K factor must be a number (inf means no fading)")
 
 
 def link_budget_constant_db(params: ChannelParams) -> float:
@@ -150,11 +154,10 @@ class McsTable:
 
     def for_snr(self, snr_db: float) -> McsEntry | None:
         """Highest entry usable at the given SNR, or None below the ladder."""
-        chosen = None
-        for e in self.entries:
+        for e in reversed(self.entries):
             if e.min_snr_db <= snr_db:
-                chosen = e
-        return chosen
+                return e
+        return None
 
 
 def default_mcs_table(contenders: int = 3, efficiency: float = 0.8) -> McsTable:

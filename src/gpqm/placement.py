@@ -38,12 +38,12 @@ class Venue:
     min_altitude_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.x_max_m, self.y_max_m, self.z_max_m) <= 0.0:
-            raise ValueError("venue dimensions must be positive")
+        if not all(0.0 < v < math.inf for v in (self.x_max_m, self.y_max_m, self.z_max_m)):
+            raise ValueError("venue dimensions must be positive and finite")
         if not 0.0 <= self.min_altitude_m < self.z_max_m:
             raise ValueError("minimum altitude must lie inside [0, z_max)")
-        if self.min_separation_m < 0.0:
-            raise ValueError("minimum separation must be non-negative")
+        if not 0.0 <= self.min_separation_m < math.inf:
+            raise ValueError("minimum separation must be non-negative and finite")
 
     def clamp(self, p: Point) -> Point:
         return (
@@ -68,8 +68,8 @@ class SphereConstraint:
     radius_m: float
 
     def __post_init__(self) -> None:
-        if self.radius_m <= 0.0:
-            raise ValueError("sphere radius must be positive")
+        if not 0.0 < self.radius_m < math.inf:
+            raise ValueError(f"sphere radius must be positive and finite, not {self.radius_m}")
 
 
 @dataclass(frozen=True)
@@ -222,38 +222,27 @@ def sphere_pair_analysis(
             math.dist(p, second.center)
         )
 
-    lo = [
-        max(0.0, min(s.center[k] - s.radius_m for s in spheres)) for k in range(2)
-    ] + [max(venue.min_altitude_m, min(s.center[2] - s.radius_m for s in spheres))]
-    hi = [
-        min((venue.x_max_m, venue.y_max_m)[k], max(s.center[k] + s.radius_m for s in spheres))
-        for k in range(2)
-    ] + [min(venue.z_max_m, max(s.center[2] + s.radius_m for s in spheres))]
+    axes = []
+    bounds = ((0.0, venue.x_max_m), (0.0, venue.y_max_m), (venue.min_altitude_m, venue.z_max_m))
+    for k, (floor, ceiling) in enumerate(bounds):
+        v = max(floor, min(s.center[k] - s.radius_m for s in spheres))
+        top = min(ceiling, max(s.center[k] + s.radius_m for s in spheres))
+        axis = []
+        while v <= top + 1e-9:
+            axis.append(v)
+            v += 1.0
+        axes.append(axis)
 
-    seeds = []
     deepest = compute_fgw_pos(spheres, venue)
-    if deepest.feasible:
-        seeds.append(deepest.position)
-    x = lo[0]
-    while x <= hi[0] + 1e-9:
-        y = lo[1]
-        while y <= hi[1] + 1e-9:
-            z = lo[2]
-            while z <= hi[2] + 1e-9:
-                p = (x, y, z)
-                if admissible(p):
-                    seeds.append(p)
-                z += 1.0
-            y += 1.0
-        x += 1.0
+    seeds = [deepest.position] if deepest.feasible else []
+    seeds += [p for p in itertools.product(*axes) if admissible(p)]
     if not seeds:
         return OverlapAnalysis(overlap, None, None, None, None)
 
     def refine(start: Point, sign: float) -> Point:
         return _descend(start, lambda p: sign * total(p) if admissible(p) else math.inf, venue)
 
-    min_seed = min(seeds, key=total)
-    max_seed = max(seeds, key=total)
-    min_point = refine(min_seed, 1.0)
-    max_point = refine(max_seed, -1.0)
+    totals = [total(p) for p in seeds]
+    min_point = refine(seeds[totals.index(min(totals))], 1.0)
+    max_point = refine(seeds[totals.index(max(totals))], -1.0)
     return OverlapAnalysis(overlap, min_point, total(min_point), max_point, total(max_point))

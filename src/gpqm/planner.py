@@ -38,11 +38,11 @@ class PlannerConfig:
     update_period_s: float = DEFAULT_PLANNING_PERIOD_S
 
     def __post_init__(self) -> None:
-        if self.delay_threshold_s <= 0.0:
+        if not self.delay_threshold_s > 0.0:
             raise ValueError("delay threshold must be positive")
-        if self.power_step_db <= 0.0:
+        if not self.power_step_db > 0.0:
             raise ValueError("power step must be positive")
-        if self.update_period_s < 1.0:
+        if not self.update_period_s >= 1.0:
             raise ValueError("update period must be at least 1 s")
 
 
@@ -131,30 +131,24 @@ def plan_snapshot(
         )
 
     power = config.min_tx_power_dbm
-    placement = None
-    tx_power = None
     while power <= channel.max_tx_power_dbm + 1e-9:
         spheres = [
             SphereConstraint(fap.position, max_distance_m(channel, power, f.target_snr_db))
             for fap, f in zip(snapshot.faps, fap_plans)
         ]
-        result = compute_fgw_pos(spheres, venue)
-        if result.feasible:
-            placement = result
-            tx_power = power
-            break
+        placement = compute_fgw_pos(spheres, venue)
+        if placement.feasible:
+            return GpqmPlan(
+                t_s=snapshot.t_s,
+                tx_power_dbm=power,
+                fgw_position=placement.position,
+                faps=tuple(fap_plans),
+                margins_m=placement.margins_m,
+            )
         power += config.power_step_db
-    if placement is None:
-        raise PlacementInfeasibleError(
-            f"no gateway position at any power up to {channel.max_tx_power_dbm} dBm "
-            f"(snapshot t={snapshot.t_s} s)"
-        )
-    return GpqmPlan(
-        t_s=snapshot.t_s,
-        tx_power_dbm=tx_power,
-        fgw_position=placement.position,
-        faps=tuple(fap_plans),
-        margins_m=placement.margins_m,
+    raise PlacementInfeasibleError(
+        f"no gateway position at any power up to {channel.max_tx_power_dbm} dBm "
+        f"(snapshot t={snapshot.t_s} s)"
     )
 
 

@@ -32,10 +32,12 @@ class MobilityParams:
     planar_z_m: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.speed_min_mps <= self.speed_max_mps:
-            raise ValueError("speeds must satisfy 0 < min <= max")
-        if self.pause_s < 0.0:
-            raise ValueError("pause must be non-negative")
+        if not 0.0 < self.speed_min_mps <= self.speed_max_mps < math.inf:
+            raise ValueError("speeds must satisfy 0 < min <= max < inf")
+        if not 0.0 <= self.pause_s < math.inf:
+            raise ValueError("pause must be non-negative and finite")
+        if self.planar_z_m is not None and not math.isfinite(self.planar_z_m):
+            raise ValueError("planar altitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,11 @@ class DemandProfile:
     def __post_init__(self) -> None:
         if self.constant_bps is None and not self.schedule:
             raise ValueError("demand profile needs a constant or a schedule")
-        if self.constant_bps is not None and self.constant_bps < 0.0:
-            raise ValueError("demand must be non-negative")
-        for _, bps in self.schedule:
-            if bps <= 0.0:
-                raise ValueError("demand must be positive")
+        if self.constant_bps is not None and not 0.0 <= self.constant_bps < math.inf:
+            raise ValueError("demand must be non-negative and finite")
+        for t_from, bps in self.schedule:
+            if not (math.isfinite(t_from) and 0.0 < bps < math.inf):
+                raise ValueError("schedule times must be finite and demands positive and finite")
         times = [t for t, _ in self.schedule]
         if times != sorted(times):
             raise ValueError("demand schedule must be time-ordered")
@@ -64,13 +66,10 @@ class DemandProfile:
     def at(self, t_s: float) -> float:
         if self.constant_bps is not None:
             return self.constant_bps
-        current = self.schedule[0][1]
-        for t_from, bps in self.schedule:
+        for t_from, bps in reversed(self.schedule):
             if t_from <= t_s:
-                current = bps
-            else:
-                break
-        return current
+                return bps
+        return self.schedule[0][1]
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,8 @@ class FapTrace:
     def __post_init__(self) -> None:
         if not self.waypoints:
             raise ValueError("a FAP trace needs at least one waypoint")
+        if not all(math.isfinite(v) for w in self.waypoints for v in w):
+            raise ValueError(f"FAP {self.fap_id}: waypoints must be finite")
         times = [w[0] for w in self.waypoints]
         if times != sorted(times):
             raise ValueError("waypoints must be time-ordered")

@@ -80,7 +80,7 @@ class OptProblem:
     def __post_init__(self) -> None:
         if self.capacity_model not in ("regression", "shannon"):
             raise ValueError(f"unknown capacity model {self.capacity_model!r}")
-        if self.delay_threshold_s <= 0.0:
+        if not self.delay_threshold_s > 0.0:
             raise ValueError("delay threshold must be positive")
 
     @property
@@ -244,15 +244,12 @@ def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -
             gbest_fit = float(pbest_fit[g_idx])
         history.append(gbest_fit)
 
+    # A feasible row's total violation is 0, so feasible rows win by objective.
     evals = [evaluate(problem, row) for row in pbest]
-    feasible_rows = [i for i, ev in enumerate(evals) if ev.feasible]
-    if feasible_rows:
-        best_i = min(feasible_rows, key=lambda i: evals[i].objective_bps)
-    else:
-        best_i = min(
-            range(len(evals)),
-            key=lambda i: (evals[i].total_violation, evals[i].objective_bps),
-        )
+    best_i = min(
+        range(len(evals)),
+        key=lambda i: (not evals[i].feasible, evals[i].total_violation, evals[i].objective_bps),
+    )
     best_ev = evals[best_i]
     bx = tuple(float(v) for v in pbest[best_i])
     return SolverResult(
@@ -396,26 +393,25 @@ def run_benchmark(
     )
     duration = sim_config.bootstrap_s + sim_config.measure_s
 
-    rows: list[BenchmarkRow] = []
     table = default_mcs_table(n_faps, channel.mac_efficiency)
-    found = 0
-    candidate = base_seed
-    while found < n_instances:
-        if candidate - base_seed >= _SEEDS_PER_INSTANCE * n_instances:
-            raise PlanningError(
-                f"only {found} of {n_instances} instances plannable among seeds "
-                f"{base_seed}..{candidate - 1}"
-            )
-        seed = candidate
-        candidate += 1
+    instances = []
+    for seed in range(base_seed, base_seed + _SEEDS_PER_INSTANCE * n_instances):
         snapshot = random_static_instance(seed, n_faps, venue, channel, demand_fractions)
         try:
-            gpqm_plan = plan_snapshot(snapshot, channel, venue, planner_config, table)
+            plan = plan_snapshot(snapshot, channel, venue, planner_config, table)
         except PlanningError:
             continue
-        found += 1
-        instance = found - 1
+        instances.append((seed, snapshot, plan))
+        if len(instances) == n_instances:
+            break
+    else:
+        raise PlanningError(
+            f"only {len(instances)} of {n_instances} instances plannable among seeds "
+            f"{base_seed}..{seed}"
+        )
 
+    rows: list[BenchmarkRow] = []
+    for instance, (seed, snapshot, gpqm_plan) in enumerate(instances):
         problem = OptProblem(
             snapshot=snapshot,
             channel=channel,
@@ -425,23 +421,15 @@ def run_benchmark(
         )
         pso_result = solve_pso(problem, seed=seed, params=pso_params)
         trace = _static_trace(snapshot, venue, channel, duration, seed)
-        plans = {
-            "gpqm": PlanSeries((gpqm_plan,), duration),
-            "pso": PlanSeries((solver_plan(problem, pso_result, table),), duration),
-        }
-        objectives = {
-            "gpqm": sum(f.capacity_bps for f in gpqm_plan.faps),
-            "pso": pso_result.objective_bps,
-        }
-        feas = {"gpqm": True, "pso": pso_result.feasible}
-
-        for method, series in plans.items():
+        methods = (
+            ("gpqm", gpqm_plan, sum(f.capacity_bps for f in gpqm_plan.faps), True),
+            ("pso", solver_plan(problem, pso_result, table), pso_result.objective_bps,
+             pso_result.feasible),
+        )
+        for method, plan, objective, feasible in methods:
+            series = PlanSeries((plan,), duration)
             runs = [
-                simulate(
-                    trace,
-                    replace(sim_config, seed=r + 1, label=method),
-                    plan=series,
-                )
+                simulate(trace, replace(sim_config, seed=r + 1, label=method), plan=series)
                 for r in range(sim_runs)
             ]
             delay_p, thr_p = merge_metrics(runs).percentiles(90.0)
@@ -450,8 +438,8 @@ def run_benchmark(
                     instance=instance,
                     seed=seed,
                     method=method,
-                    objective_bps=objectives[method],
-                    feasible=feas[method],
+                    objective_bps=objective,
+                    feasible=feasible,
                     p_delay_s=delay_p,
                     p_throughput_bps=thr_p,
                 )

@@ -219,6 +219,54 @@ def test_exit_usage_on_nan_duration(tmp_path, capsys):
     assert not out.exists()
 
 
+PAIR = ["analyze", "pair", "--fap", "30,50,10", "--fap", "60,50,10", "--out", "pair.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--planar-z", "nan", "--duration", "12", "--out", "s.json"],
+        ["generate", "--faps", "2", "--demand", "nan", "--demand", "1e6", "--out", "s.json"],
+        [*PAIR, "--snr", "15", "--snr", "15", "--power", "nan"],
+        [*PAIR, "--snr", "nan", "--snr", "15"],
+    ],
+    ids=["planar-z", "demand", "pair-power", "pair-snr"],
+)
+def test_exit_usage_on_nan_flag(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--power-step", "--delay-threshold"])
+def test_exit_usage_on_nan_planner_flag(tmp_path, capsys, flag):
+    scenario = tmp_path / "s.json"
+    assert cli.main(["generate", "--faps", "1", "--duration", "12", "--out", str(scenario)]) == 0
+    rc = cli.main(["plan", "--scenario", str(scenario), flag, "nan",
+                   "--out", str(tmp_path / "p.json")])
+    assert rc == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize(
+    "section, key",
+    [("venue", "x_max_m"), ("channel", "noise_power_dbm"), ("channel", "rician_k_db")],
+)
+def test_exit_usage_on_nan_in_scenario(tmp_path, command, section, key):
+    scenario = tmp_path / "s.json"
+    assert cli.main(["generate", "--faps", "1", "--duration", "12", "--out", str(scenario)]) == 0
+    data = json.loads(scenario.read_text())
+    data[section][key] = float("nan")
+    scenario.write_text(json.dumps(data))
+    argv = {
+        "plan": ["plan", "--out", str(tmp_path / "p.json")],
+        "simulate": ["simulate", "--policy", "venue-center", "--bootstrap", "1",
+                     "--measure", "1", "--out", str(tmp_path / "m")],
+    }[command]
+    assert cli.main([*argv, "--scenario", str(scenario)]) == 2
+
+
 def test_exit_usage_when_plan_missing_for_gpqm(tmp_path):
     scenario = tmp_path / "s.json"
     assert cli.main([

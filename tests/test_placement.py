@@ -7,6 +7,7 @@ instances built by construction around a known admissible point.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -24,6 +25,7 @@ from gpqm import (
     friis_snr_db,
     ChannelParams,
 )
+from gpqm.channel import capacity_bps
 
 VENUE = Venue()
 
@@ -266,3 +268,29 @@ def test_pair_extremes_beat_grid_sampling():
         x += 1.0
     assert out.max_value_bps >= best - 1e-6
     assert out.min_value_bps <= worst + 1e-6
+
+
+GOLDEN_PAIR_SHA256 = "6f2b79c66a758dfa35f9d5c7bfabe043a5b17780fe11ccf8f4c08748f01af90a"
+
+
+def test_golden_pair_outputs():
+    """One SHA-256 over four pair geometries under both capacity models."""
+    ch = ChannelParams()
+    readme = max_distance_m(ch, 20.0, 15.0)
+    pairs = [
+        (((30.0, 50.0, 10.0), readme), ((60.0, 50.0, 10.0), readme)),  # README pair
+        (((10.0, 50.0, 10.0), 10.0), ((80.0, 50.0, 10.0), 10.0)),  # disjoint
+        (((50.0, 50.0, 10.0), 30.0), ((52.0, 50.0, 10.0), 5.0)),  # full containment
+        # The lens lies within the separation distance of both FAPs, so the
+        # separation fence binds.
+        (((45.0, 50.0, 10.0), 3.5), ((50.0, 50.0, 10.0), 3.5)),
+    ]
+    out = []
+    for model in ("shannon", "regression"):
+        def capacity(d: float, model: str = model) -> float:
+            return capacity_bps(model, ch, friis_snr_db(ch, 20.0, d))
+
+        for first, second in pairs:
+            out.append(sphere_pair_analysis(
+                SphereConstraint(*first), SphereConstraint(*second), VENUE, capacity))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == GOLDEN_PAIR_SHA256

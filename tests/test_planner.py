@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -385,3 +386,19 @@ def test_plan_file_wrong_type_is_named(with_demand):
     entry["rho"] = "0.5"
     with pytest.raises(ValueError, match=r"FapPlan: rho must be float"):
         plan_series_from_json(doc)
+
+
+GOLDEN_PLAN_SERIES_SHA256 = "2ce26dc2c87c0e965e4f8079b9a5814a4d1819b6e52813d42e85ba186f0fe000"
+
+
+def test_golden_plan_series():
+    """One SHA-256 over the plan series (or planning error) of 15 random traces."""
+    out = []
+    for seed in range(1, 6):
+        for n_faps in (1, 3, 5):
+            trace = generate_rwm(n_faps=n_faps, duration_s=30.0, seed=seed)
+            try:
+                out.append(plan_series(trace, CFG))
+            except PlanningError as exc:
+                out.append((type(exc).__name__, str(exc)))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == GOLDEN_PLAN_SERIES_SHA256

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from gpqm import (
+    ChannelParams,
     DemandProfile,
     FapTrace,
     McsEntry,
@@ -39,6 +40,12 @@ def test_schedule_demand_switches():
     assert d.at(34.999) == 10e6
     assert d.at(35.0) == 90e6
     assert d.at(100.0) == 90e6
+    late = DemandProfile(schedule=((5.0, 20e6), (10.0, 30e6)))
+    assert late.at(0.0) == 20e6
+    assert late.at(10.0) == 30e6
+    same_time = DemandProfile(schedule=((0.0, 10e6), (5.0, 20e6), (5.0, 30e6)))
+    assert same_time.at(4.999) == 10e6
+    assert same_time.at(5.0) == 30e6
 
 
 def test_demand_validation():
@@ -255,6 +262,44 @@ def test_trace_validation():
         MobilityParams(speed_min_mps=0.0)
     with pytest.raises(ValueError):
         MobilityParams(speed_min_mps=5.0, speed_max_mps=1.0)
+
+
+_CONSTANT = DemandProfile(constant_bps=1e6)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Venue(x_max_m=math.nan),
+        lambda: Venue(z_max_m=math.inf),
+        lambda: Venue(min_separation_m=math.nan),
+        lambda: ChannelParams(carrier_frequency_hz=math.inf),
+        lambda: ChannelParams(noise_power_dbm=math.nan),
+        lambda: ChannelParams(bandwidth_hz=math.nan),
+        lambda: ChannelParams(max_tx_power_dbm=math.nan),
+        lambda: ChannelParams(rician_k_db=math.nan),
+        lambda: DemandProfile(constant_bps=math.nan),
+        lambda: DemandProfile(constant_bps=math.inf),
+        lambda: DemandProfile(schedule=((0.0, math.nan),)),
+        lambda: DemandProfile(schedule=((math.nan, 1e6),)),
+        lambda: MobilityParams(speed_max_mps=math.inf),
+        lambda: MobilityParams(pause_s=math.nan),
+        lambda: MobilityParams(planar_z_m=math.nan),
+        lambda: FapTrace("f", ((0.0, math.nan, 1.0, 5.0),), _CONSTANT),
+        lambda: FapTrace("f", ((0.0, 1.0, 1.0, 5.0), (math.inf, 2.0, 2.0, 5.0)), _CONSTANT),
+    ],
+    ids=["venue-x-nan", "venue-z-inf", "venue-separation-nan", "carrier-inf", "noise-nan",
+         "bandwidth-nan", "max-power-nan", "rician-k-nan", "demand-nan", "demand-inf",
+         "schedule-rate-nan", "schedule-time-nan", "speed-inf", "pause-nan", "planar-z-nan",
+         "waypoint-nan", "waypoint-time-inf"],
+)
+def test_constructors_reject_nan_and_misplaced_infinity(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_channel_params_accept_infinite_k_factor():
+    assert ChannelParams(rician_k_db=math.inf).rician_k_db == math.inf
 
 
 @pytest.mark.parametrize(
