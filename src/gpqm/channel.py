@@ -86,9 +86,12 @@ def friis_snr_db(params: ChannelParams, tx_power_dbm: float, distance_m: float) 
 
 
 def max_distance_m(params: ChannelParams, tx_power_dbm: float, target_snr_db: float) -> float:
-    """Largest distance at which the link still reaches the target SNR."""
+    """Largest distance at which the link still reaches the target SNR (inf past float range)."""
     exponent = (link_budget_constant_db(params) + tx_power_dbm - target_snr_db) / 20.0
-    return 10.0 ** exponent
+    try:
+        return 10.0 ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def fair_share_bps(phy_rate_bps: float, efficiency: float, contenders: int) -> float:

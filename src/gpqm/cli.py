@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .channel import ChannelParams, capacity_bps, friis_snr_db, max_distance_m
@@ -34,6 +34,7 @@ from .scenario import (
 )
 from .simulator import (
     CHANNEL_MODES,
+    PERCENTILE,
     PLACEMENTS,
     QUEUES,
     SERVICE_MODES,
@@ -126,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ac = asub.add_parser("cdf", help="CDF/CCDF tables and percentiles from run dirs")
     ac.add_argument("--metrics", action="append", required=True,
                     help="run directory written by simulate; repeat to pool")
-    ac.add_argument("--percentile", type=float, default=90.0)
+    ac.add_argument("--percentile", type=float, default=PERCENTILE)
     ac.add_argument("--out", required=True, help="result JSON path")
     ac.set_defaults(run=_cmd_analyze_cdf)
 
@@ -198,7 +199,7 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool) -> None:
             for p in metrics.packets:
                 w.writerow([p.fap_id, p.created_s, "" if p.delay_s is None else p.delay_s,
                             int(p.dropped)])
-    p90_delay, p90_throughput = metrics.percentiles(90.0)
+    p90_delay, p90_throughput = metrics.percentiles()
     summary = {
         "label": metrics.label,
         "p90_throughput_bps": p90_throughput,
@@ -213,10 +214,6 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool) -> None:
 def _cmd_simulate(args) -> int:
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
-    trace = load_scenario(args.scenario)
-    plan = None
-    if args.plan is not None:
-        plan = plan_series_from_json(json.loads(Path(args.plan).read_text()))
     queue = args.queue
     if queue is None:
         queue = "scheduled" if args.policy == "gpqm" else "droptail"
@@ -234,6 +231,10 @@ def _cmd_simulate(args) -> int:
         baseline_tx_power_dbm=args.baseline_power,
         record_packets=args.packets_csv,
     )
+    trace = load_scenario(args.scenario)
+    plan = None
+    if args.plan is not None:
+        plan = plan_series_from_json(json.loads(Path(args.plan).read_text()))
     out_root = Path(args.out)
     runs = []
     for k in range(args.runs):
@@ -297,17 +298,11 @@ def _cmd_analyze_pair(args) -> int:
     def capacity(d: float) -> float:
         return capacity_bps(args.capacity_model, channel, friis_snr_db(channel, args.power, d))
 
-    result = sphere_pair_analysis(spheres[0], spheres[1], venue, capacity)
-    payload = {
-        "overlap": result.overlap,
-        "radii_m": [s.radius_m for s in spheres],
-        "min_point": list(result.min_point) if result.min_point else None,
-        "min_value_bps": result.min_value_bps,
-        "max_point": list(result.max_point) if result.max_point else None,
-        "max_value_bps": result.max_value_bps,
-    }
+    result = asdict(sphere_pair_analysis(spheres[0], spheres[1], venue, capacity))
+    radii = [s.radius_m for s in spheres]
+    payload = {"overlap": result.pop("overlap"), "radii_m": radii, **result}
     Path(args.out).write_text(json.dumps(payload, indent=2))
-    print(f"overlap: {result.overlap} -> {args.out}")
+    print(f"overlap: {payload['overlap']} -> {args.out}")
     return EXIT_OK
 
 
@@ -359,12 +354,13 @@ def _cmd_analyze_cdf(args) -> int:
     return EXIT_OK
 
 
-def _grid(samples: list[float], points: int = 50) -> list[float]:
+def _grid(samples: list[float]) -> list[float]:
+    """50 evenly spaced points from the smallest to the largest sample."""
     lo = min(samples)
     hi = max(samples)
     if hi <= lo:
         return [lo]
-    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    return [lo + (hi - lo) * i / 49 for i in range(50)]
 
 
 def main(argv=None) -> int:

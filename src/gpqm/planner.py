@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .channel import ChannelParams, McsTable, default_mcs_table, max_distance_m
 from .errors import (
@@ -32,16 +33,22 @@ SLACK_TOL_M = 1e-9
 
 @dataclass(frozen=True)
 class PlannerConfig:
+    """Planner settings; the power sweep climbs from `min_tx_power_dbm` by `power_step_db`.
+
+    A step of at least 0.01 dB keeps the sweep to at most 3001 probes up to
+    the default 30 dBm ceiling.
+    """
+
+    min_tx_power_dbm: ClassVar[float] = 0.0
     delay_threshold_s: float = 0.010
     power_step_db: float = 1.0
-    min_tx_power_dbm: float = 0.0
     update_period_s: float = DEFAULT_PLANNING_PERIOD_S
 
     def __post_init__(self) -> None:
         if not self.delay_threshold_s > 0.0:
             raise ValueError("delay threshold must be positive")
-        if not self.power_step_db > 0.0:
-            raise ValueError("power step must be positive")
+        if not self.power_step_db >= 0.01:
+            raise ValueError("power step must be positive and at least 0.01 dB")
         if not self.update_period_s >= 1.0:
             raise ValueError("update period must be at least 1 s")
 
@@ -239,7 +246,7 @@ def check_formulation(
         checks.append(ConstraintCheck(name, slack, slack >= -tol))
 
     p = plan.tx_power_dbm
-    add("tx_power_range", min(p - 0.0, channel.max_tx_power_dbm - p))
+    add("tx_power_range", min(p - config.min_tx_power_dbm, channel.max_tx_power_dbm - p))
 
     # Same admission rule the planner enforces: total carried traffic against
     # the usable rate of the fastest selected MCS.

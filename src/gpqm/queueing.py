@@ -15,20 +15,13 @@ DEFAULT_PACKET_SIZE_BYTES = 1400
 PACKET_BITS = 8.0 * DEFAULT_PACKET_SIZE_BYTES
 
 
-def rates_from_traffic(
-    demand_bps: float, capacity_bps: float, packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES
-) -> tuple[float, float, float]:
+def rates_from_traffic(demand_bps: float, capacity_bps: float) -> tuple[float, float, float]:
     """Arrival rate, service rate (packets/s) and utilisation for one link."""
     if demand_bps < 0.0:
         raise ValueError("demand must be non-negative")
     if capacity_bps <= 0.0:
         raise ValueError("capacity must be positive")
-    if packet_size_bytes <= 0:
-        raise ValueError("packet size must be positive")
-    bits = 8.0 * packet_size_bytes
-    lam = demand_bps / bits
-    mu = capacity_bps / bits
-    return lam, mu, demand_bps / capacity_bps
+    return demand_bps / PACKET_BITS, capacity_bps / PACKET_BITS, demand_bps / capacity_bps
 
 
 def _check_utilisation(rho: float) -> None:

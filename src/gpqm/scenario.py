@@ -228,22 +228,20 @@ def generate_rwm(
     n_faps: int,
     duration_s: float,
     seed: int,
-    venue: Venue | None = None,
-    channel: ChannelParams | None = None,
     mobility: MobilityParams | None = None,
     planning_period_s: float = DEFAULT_PLANNING_PERIOD_S,
     demands_bps: list[float] | None = None,
     demand_fractions: tuple[float, ...] = DEFAULT_DEMAND_FRACTIONS,
 ) -> ScenarioTrace:
-    """Random-waypoint scenario for `n_faps` FAPs, fully determined by `seed`.
+    """Random-waypoint scenario for `n_faps` FAPs in the default venue and channel.
 
-    Demands default to cycling `demand_fractions` of the reference fair
-    share for this contender count; explicit `demands_bps` override.
+    Fully determined by `seed`. Demands default to cycling `demand_fractions`
+    of the reference fair share for this contender count; explicit
+    `demands_bps` override.
     """
     if n_faps < 1:
         raise ValueError("need at least one FAP")
-    venue = venue or Venue()
-    channel = channel or ChannelParams()
+    venue, channel = Venue(), ChannelParams()
     mobility = mobility or MobilityParams()
     if demands_bps is not None and len(demands_bps) != n_faps:
         raise ValueError("one demand per FAP required")

@@ -44,6 +44,8 @@ QUEUES = ("scheduled", "droptail", "red", "codel")
 TRAFFIC_MODELS = ("poisson", "onoff", "aimd")
 CHANNEL_MODES = ("independent", "shared")
 SERVICE_MODES = ("deterministic", "exponential")
+# The percentile that SimMetrics.percentiles and compare report.
+PERCENTILE = 90.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class SimConfig:
     baseline_tx_power_dbm: float = 20.0
     fixed_position: tuple[float, float, float] | None = None
     record_packets: bool = False
-    label: str | None = None
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENTS:
@@ -74,16 +75,14 @@ class SimConfig:
             raise ValueError(f"unknown channel mode {self.channel_mode!r}")
         if self.service_mode not in SERVICE_MODES:
             raise ValueError(f"unknown service mode {self.service_mode!r}")
-        if self.bootstrap_s < 0.0 or self.measure_s <= 0.0:
-            raise ValueError("bootstrap must be >= 0 and measure > 0")
+        if not (0.0 <= self.bootstrap_s < math.inf and 0.0 < self.measure_s < math.inf):
+            raise ValueError("bootstrap must be >= 0 and measure > 0, both finite")
+        if not math.isfinite(self.baseline_tx_power_dbm):
+            raise ValueError("baseline tx power must be finite")
         if self.queue_size < 1:
             raise ValueError("queue size must be at least 1")
         if self.placement == "fixed" and self.fixed_position is None:
             raise ValueError("fixed placement needs fixed_position")
-
-    @property
-    def effective_label(self) -> str:
-        return self.label if self.label is not None else f"{self.placement}-{self.queue}"
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,15 @@ class SimMetrics:
         total = self.window_delivered + self.window_dropped
         return self.window_dropped / total if total else 0.0
 
-    def percentiles(self, p: float = 90.0) -> tuple[float, float]:
-        """p-th percentile delay (inf without delays), throughput exceeded by p% of seconds."""
-        delay = summarize(self.delay_samples_s).percentile(p) if self.delay_samples_s else math.inf
-        return delay, summarize(self.throughput_samples_bps).percentile(100.0 - p)
+    def percentiles(self) -> tuple[float, float]:
+        """Delay and throughput at PERCENTILE.
+
+        The delay is the PERCENTILE-th percentile (inf without delays); the
+        throughput is the value exceeded in PERCENTILE % of seconds.
+        """
+        delays = self.delay_samples_s
+        delay = summarize(delays).percentile(PERCENTILE) if delays else math.inf
+        return delay, summarize(self.throughput_samples_bps).percentile(100.0 - PERCENTILE)
 
 
 # --- queue disciplines ----------------------------------------------------
@@ -425,7 +429,7 @@ def simulate(
 
     samples = tuple(thr_bins.get(s, 0.0) for s in range(int(round(config.measure_s))))
     return SimMetrics(
-        label=config.effective_label,
+        label=f"{config.placement}-{config.queue}",
         seed=config.seed,
         bootstrap_s=config.bootstrap_s,
         measure_s=config.measure_s,
@@ -512,13 +516,12 @@ def merge_metrics(runs: list[SimMetrics]) -> SimMetrics:
     )
 
 
-def compare(
-    runs: list[SimMetrics], baseline: str, percentile: float = 90.0
-) -> dict:
+def compare(runs: list[SimMetrics], baseline: str) -> dict:
     """Percentile throughput and delay per label, with deltas vs a baseline.
 
-    Delay uses the p-th percentile of the delay distribution; throughput uses
-    the value exceeded by p% of per-second samples (the complementary view).
+    Delay uses the PERCENTILE-th percentile of the delay distribution;
+    throughput the value exceeded by PERCENTILE% of per-second samples (the
+    complementary view).
     """
     if not runs:
         raise ValueError("nothing to compare")
@@ -533,7 +536,7 @@ def compare(
 
     rows: dict[str, dict] = {}
     for m in runs:
-        delay_p, thr_p = m.percentiles(percentile)
+        delay_p, thr_p = m.percentiles()
         rows[m.label] = {
             "p_delay_s": delay_p,
             "p_throughput_bps": thr_p,
@@ -551,4 +554,4 @@ def compare(
             if base["p_throughput_bps"] > 0
             else 0.0
         )
-    return {"percentile": percentile, "baseline": baseline, "results": rows}
+    return {"percentile": PERCENTILE, "baseline": baseline, "results": rows}

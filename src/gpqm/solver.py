@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,19 +70,17 @@ _SEEDS_PER_INSTANCE = 100
 
 @dataclass(frozen=True)
 class OptProblem:
-    """Static placement instance for the benchmark solver."""
+    """Static placement instance for the benchmark solver, at the planner's default delay bound."""
 
+    delay_threshold_s: ClassVar[float] = PlannerConfig.delay_threshold_s
     snapshot: Snapshot
     channel: ChannelParams
     venue: Venue
-    delay_threshold_s: float = PlannerConfig.delay_threshold_s
     capacity_model: str = "regression"  # regression | shannon
 
     def __post_init__(self) -> None:
         if self.capacity_model not in ("regression", "shannon"):
             raise ValueError(f"unknown capacity model {self.capacity_model!r}")
-        if not self.delay_threshold_s > 0.0:
-            raise ValueError("delay threshold must be positive")
 
     @property
     def effective_aggregate_cap_bps(self) -> float:
@@ -297,7 +296,7 @@ def solver_plan(
                 utilisation=realised_rho,
                 queue_pkts=queue,
                 delay_s=delay,
-                plr=mm1q_plr(min(rho, 10.0), queue) if math.isfinite(rho) else 1.0,
+                plr=mm1q_plr(rho, queue),
             )
         )
     return GpqmPlan(
@@ -412,13 +411,7 @@ def run_benchmark(
 
     rows: list[BenchmarkRow] = []
     for instance, (seed, snapshot, gpqm_plan) in enumerate(instances):
-        problem = OptProblem(
-            snapshot=snapshot,
-            channel=channel,
-            venue=venue,
-            delay_threshold_s=planner_config.delay_threshold_s,
-            capacity_model=capacity_model,
-        )
+        problem = OptProblem(snapshot, channel, venue, capacity_model)
         pso_result = solve_pso(problem, seed=seed, params=pso_params)
         trace = _static_trace(snapshot, venue, channel, duration, seed)
         methods = (
@@ -429,10 +422,10 @@ def run_benchmark(
         for method, plan, objective, feasible in methods:
             series = PlanSeries((plan,), duration)
             runs = [
-                simulate(trace, replace(sim_config, seed=r + 1, label=method), plan=series)
+                simulate(trace, replace(sim_config, seed=r + 1), plan=series)
                 for r in range(sim_runs)
             ]
-            delay_p, thr_p = merge_metrics(runs).percentiles(90.0)
+            delay_p, thr_p = merge_metrics(runs).percentiles()
             rows.append(
                 BenchmarkRow(
                     instance=instance,

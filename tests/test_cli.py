@@ -220,6 +220,8 @@ def test_exit_usage_on_nan_duration(tmp_path, capsys):
 
 
 PAIR = ["analyze", "pair", "--fap", "30,50,10", "--fap", "60,50,10", "--out", "pair.json"]
+# The flags are checked before the (missing) scenario is read.
+SIM = ["simulate", "--scenario", "s.json", "--policy", "venue-center", "--out", "m"]
 
 
 @pytest.mark.parametrize(
@@ -229,8 +231,13 @@ PAIR = ["analyze", "pair", "--fap", "30,50,10", "--fap", "60,50,10", "--out", "p
         ["generate", "--faps", "2", "--demand", "nan", "--demand", "1e6", "--out", "s.json"],
         [*PAIR, "--snr", "15", "--snr", "15", "--power", "nan"],
         [*PAIR, "--snr", "nan", "--snr", "15"],
+        [*PAIR, "--snr", "15", "--snr", "15", "--power", "1e300"],
+        [*SIM, "--bootstrap", "1", "--measure", "1", "--baseline-power", "nan"],
+        [*SIM, "--bootstrap", "nan", "--measure", "1"],
+        [*SIM, "--bootstrap", "1", "--measure", "inf"],
     ],
-    ids=["planar-z", "demand", "pair-power", "pair-snr"],
+    ids=["planar-z", "demand", "pair-power", "pair-snr", "pair-power-overflow",
+         "baseline-power", "bootstrap", "measure"],
 )
 def test_exit_usage_on_nan_flag(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -238,14 +245,22 @@ def test_exit_usage_on_nan_flag(tmp_path, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag", ["--power-step", "--delay-threshold"])
-def test_exit_usage_on_nan_planner_flag(tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--power-step", "nan", "must be positive"),
+        ("--delay-threshold", "nan", "must be positive"),
+        ("--power-step", "1e-6", "at least 0.01 dB"),
+    ],
+    ids=["--power-step", "--delay-threshold", "--power-step-tiny"],
+)
+def test_exit_usage_on_nan_planner_flag(tmp_path, capsys, flag, value, message):
     scenario = tmp_path / "s.json"
     assert cli.main(["generate", "--faps", "1", "--duration", "12", "--out", str(scenario)]) == 0
-    rc = cli.main(["plan", "--scenario", str(scenario), flag, "nan",
+    rc = cli.main(["plan", "--scenario", str(scenario), flag, value,
                    "--out", str(tmp_path / "p.json")])
     assert rc == 2
-    assert "must be positive" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate"])

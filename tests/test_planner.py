@@ -147,6 +147,13 @@ def test_impossible_delay_threshold_raises():
         plan_snapshot(snap, CH, VENUE, PlannerConfig(delay_threshold_s=1e-6))
 
 
+def test_power_step_below_a_hundredth_of_a_db_is_rejected():
+    # A 1e-6 dB step would take tens of millions of probes to reach a feasible power.
+    with pytest.raises(ValueError, match="at least 0.01 dB"):
+        PlannerConfig(power_step_db=1e-6)
+    assert PlannerConfig(power_step_db=0.01).power_step_db == 0.01
+
+
 def test_translation_equivariance():
     base = reference_snapshot()
     shift = (5.0, -3.0, 0.0)

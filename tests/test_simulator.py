@@ -389,8 +389,8 @@ def test_summarize_rejects_empty():
 
 
 def test_compare_identical_runs_zero_deltas():
-    a = run_single(80e6, measure_s=6.0, label="a")
-    b = run_single(80e6, measure_s=6.0, label="b")
+    a = replace(run_single(80e6, measure_s=6.0), label="a")
+    b = replace(run_single(80e6, measure_s=6.0), label="b")
     table = compare([a, b], baseline="a")
     rows = table["results"]
     assert rows["b"]["delay_vs_baseline"] == pytest.approx(0.0)
@@ -400,11 +400,11 @@ def test_compare_identical_runs_zero_deltas():
 
 
 def test_compare_rejects_mismatched_windows():
-    a = run_single(80e6, measure_s=6.0, label="a")
-    b = run_single(80e6, measure_s=8.0, label="b")
+    a = replace(run_single(80e6, measure_s=6.0), label="a")
+    b = replace(run_single(80e6, measure_s=8.0), label="b")
     with pytest.raises(ValueError):
         compare([a, b], baseline="a")
-    c = run_single(80e6, measure_s=6.0, label="a")
+    c = replace(run_single(80e6, measure_s=6.0), label="a")
     with pytest.raises(ValueError):
         compare([a, c], baseline="a")
 
@@ -420,10 +420,10 @@ def test_merge_pools_samples():
 
 def test_percentiles_pair_delay_and_throughput():
     m = run_single(80e6, measure_s=6.0)
-    delay, throughput = m.percentiles(90.0)
+    delay, throughput = m.percentiles()
     assert delay == summarize(m.delay_samples_s).percentile(90.0)
     assert throughput == summarize(m.throughput_samples_bps).percentile(10.0)
-    assert replace(m, delay_samples_s=()).percentiles(90.0)[0] == math.inf
+    assert replace(m, delay_samples_s=()).percentiles()[0] == math.inf
 
 
 def test_fractional_warmup_bins_the_measurement_window():

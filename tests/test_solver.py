@@ -25,12 +25,14 @@ from gpqm import (
     PsoParams,
     SimConfig,
     Snapshot,
+    SolverResult,
     Venue,
     calibrated_mcs_table,
     default_mcs_table,
     evaluate,
     fit_rate_model,
     friis_snr_db,
+    mm1q_plr,
     run_benchmark,
     shannon_capacity_bps,
     solve_pso,
@@ -114,8 +116,8 @@ def test_problem_validation():
     snap = Snapshot(0.0, (FapState("f0", (20.0, 30.0, 10.0), 1e6),))
     with pytest.raises(ValueError):
         OptProblem(snapshot=snap, channel=CH, venue=VENUE, capacity_model="oracle")
-    with pytest.raises(ValueError):
-        OptProblem(snapshot=snap, channel=CH, venue=VENUE, delay_threshold_s=0.0)
+    with pytest.raises(TypeError):  # the delay bound is the planner's constant
+        OptProblem(snapshot=snap, channel=CH, venue=VENUE, delay_threshold_s=0.010)
     with pytest.raises(ValueError):
         PsoParams(swarm=1)
     with pytest.raises(ValueError):
@@ -291,6 +293,20 @@ def test_solver_plan_uses_discrete_rates():
         assert fp.utilisation == pytest.approx(fap.demand_bps / entry.fair_share_bps)
         assert isinstance(fp.queue_pkts, int) and fp.queue_pkts >= 1
         assert 0.0 <= fp.plr <= 1.0
+
+
+def test_solver_plan_loss_of_a_link_loaded_past_ten():
+    # 143 m at -10 dBm leaves about 7 Mbit/s of Shannon capacity for 100 Mbit/s.
+    snap = Snapshot(0.0, (FapState("f0", (0.0, 0.0, 2.0), 100e6),))
+    problem = OptProblem(snapshot=snap, channel=CH, venue=VENUE, capacity_model="shannon")
+    x = (100.0, 100.0, 20.0, -10.0)
+    res = SolverResult(x, x[:3], x[3], 0.0, False, (), ())
+    (fp,) = solver_plan(problem, res, default_mcs_table(1, CH.mac_efficiency)).faps
+    rho = 100e6 / problem.capacity_bps(friis_snr_db(CH, -10.0, math.dist(x[:3], (0.0, 0.0, 2.0))))
+    assert 10.0 < rho < math.inf
+    assert fp.queue_pkts == 100
+    assert fp.plr == mm1q_plr(rho, 100)
+    assert fp.plr > mm1q_plr(10.0, 100)
 
 
 # --- head-to-head harness ---------------------------------------------------
