@@ -221,6 +221,7 @@ def shannon_capacity_bps(bandwidth_hz: float, snr_db: float) -> float:
 
 
 _REGRESSION = fit_rate_model(calibrated_mcs_table())
+CAPACITY_MODELS = ("regression", "shannon")
 
 
 def capacity_bps(model: str, params: ChannelParams, snr_db: float) -> float:

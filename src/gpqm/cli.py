@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .channel import ChannelParams, capacity_bps, friis_snr_db, max_distance_m
+from .channel import CAPACITY_MODELS, ChannelParams, capacity_bps, friis_snr_db, max_distance_m
 from .errors import PlanningError
 from .placement import SphereConstraint, Venue, sphere_pair_analysis
 from .planner import (
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--faps", type=int, default=3)
     b.add_argument("--instances", type=int, default=5)
     b.add_argument("--seed", type=int, default=7)
-    b.add_argument("--capacity-model", choices=("regression", "shannon"), default="regression")
+    b.add_argument("--capacity-model", choices=CAPACITY_MODELS, default="regression")
     b.add_argument("--pso-iterations", type=int, default=PsoParams.iterations)
     b.add_argument("--pso-swarm", type=int, default=PsoParams.swarm)
     b.add_argument("--sim-runs", type=int, default=3)
@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--snr", type=float, action="append", required=True,
                     help="target SNR in dB; give exactly twice")
     ap.add_argument("--power", type=float, default=20.0, help="transmit power in dBm")
-    ap.add_argument("--capacity-model", choices=("shannon", "regression"), default="shannon")
+    ap.add_argument("--capacity-model", choices=CAPACITY_MODELS, default="shannon")
     ap.add_argument("--out", required=True, help="result JSON path")
     ap.set_defaults(run=_cmd_analyze_pair)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import ClassVar
 
 from .channel import ChannelParams, McsTable, default_mcs_table, max_distance_m
@@ -25,7 +25,7 @@ from .errors import (
 from .placement import Point, SphereConstraint, Venue, compute_fgw_pos
 from .queueing import md1_delay_s, mm1q_plr, planned_queue_size, rates_from_traffic
 from .scenario import (
-    DEFAULT_PLANNING_PERIOD_S, ScenarioTrace, Snapshot, _check_type, _from_dict, _rows, _to_dict,
+    DEFAULT_PLANNING_PERIOD_S, ScenarioTrace, Snapshot, _from_dict, _rows, _section, _to_dict,
 )
 
 SLACK_TOL_M = 1e-9
@@ -169,6 +169,10 @@ class PlanSeries:
     def __post_init__(self) -> None:
         if not self.plans:
             raise ValueError("plan series must not be empty")
+        if not 0.0 < self.update_period_s < math.inf:
+            raise ValueError(
+                f"update period must be positive and finite, not {self.update_period_s}"
+            )
         times = [p.t_s for p in self.plans]
         if times != sorted(times):
             raise ValueError("plans must be time-ordered")
@@ -321,8 +325,13 @@ def plan_series_to_json(series: PlanSeries, duration_s: float | None = None) -> 
     }
 
 
-def _fap_plan_from_json(where: str, entry) -> FapPlan:
-    _check_type(where, "each faps entry", "object", entry)
+# Every key a plan file, its config echo and each plan entry may hold, and its JSON type.
+_PLAN_FILE_KEYS = {"config_echo": "object", "plans": "list of objects"}
+_CONFIG_ECHO_KEYS = {"update_period_s": "float", "sampling_period_s": "float"}
+_PLAN_KEYS = {"t": "float", "p_tx_dbm": "float", "fgw": "list", "faps": "list of objects"}
+
+
+def _fap_plan_from_json(entry: dict) -> FapPlan:
     if "demand_bps" in entry:
         return _from_dict(FapPlan, entry, _FAP_PLAN_KEYS)
     # plan files written before the demand was stored
@@ -330,26 +339,35 @@ def _fap_plan_from_json(where: str, entry) -> FapPlan:
     return replace(plan, demand_bps=plan.utilisation * plan.capacity_bps)
 
 
-def _plan_from_json(where: str, entry) -> GpqmPlan:
-    _check_type("plan file", where, "object", entry)
-    _check_type(where, "t", "float", entry["t"])
-    _check_type(where, "p_tx_dbm", "float", entry["p_tx_dbm"])
-    _check_type(where, "faps", "list", entry["faps"])
-    return GpqmPlan(
+def _plan_from_json(where: str, entry: dict) -> GpqmPlan:
+    """One plan entry, refused where a run cannot use it.
+
+    The time, power and gateway must be finite, each FAP entry free of NaN
+    and each queue at least one packet.
+    """
+    _section(where, entry, _PLAN_KEYS)
+    plan = GpqmPlan(
         t_s=float(entry["t"]),
         tx_power_dbm=float(entry["p_tx_dbm"]),
         fgw_position=_rows(where, "fgw", [entry["fgw"]], 3)[0],
-        faps=tuple(_fap_plan_from_json(where, f) for f in entry["faps"]),
+        faps=tuple(_fap_plan_from_json(f) for f in entry["faps"]),
         margins_m=(),
     )
+    if not all(map(math.isfinite, (plan.t_s, plan.tx_power_dbm, *plan.fgw_position))):
+        raise ValueError(f"{where}: t, p_tx_dbm and fgw must be finite")
+    for f in plan.faps:
+        if any(map(math.isnan, astuple(f)[1:])):  # every field after the id is a number
+            raise ValueError(f"{where}: FAP {f.fap_id} holds a NaN")
+        if f.queue_pkts < 1:
+            raise ValueError(
+                f"{where}: FAP {f.fap_id}: queue_pkts must be at least 1, not {f.queue_pkts}"
+            )
+    return plan
 
 
 def plan_series_from_json(data: dict) -> PlanSeries:
-    _check_type("plan file", "the file", "object", data)
-    _check_type("plan file", "plans", "list", data["plans"])
+    _section("plan file", data, _PLAN_FILE_KEYS)
     echo = data.get("config_echo", {})
-    _check_type("plan file", "config_echo", "object", echo)
-    period = echo.get("sampling_period_s", 1.0)
-    _check_type("config_echo", "sampling_period_s", "float", period)
+    _section("config_echo", echo, _CONFIG_ECHO_KEYS)
     plans = [_plan_from_json(f"plans[{i}]", entry) for i, entry in enumerate(data["plans"])]
-    return PlanSeries(tuple(plans), float(period))
+    return PlanSeries(tuple(plans), float(echo.get("sampling_period_s", 1.0)))

@@ -304,15 +304,10 @@ def _to_dict(obj, rename: dict[str, str] | None = None) -> dict:
     return {rename.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
 
 
-def _reject_unknown(where: str, data: dict, known) -> None:
-    unknown = [k for k in data if k not in known]
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}")
-
-
-# The field annotations the codec reads, and the JSON values each accepts.
+# The JSON types a schema or field annotation may name, and the values each accepts.
 _JSON_TYPES = {
     "float": (int, float), "int": (int,), "str": (str,), "object": (dict,), "list": (list,),
+    "list of objects": (list,),
 }
 
 
@@ -322,14 +317,31 @@ def _check_type(where: str, key: str, annotation: str, value) -> None:
         return
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[base]):
         raise ValueError(f"{where}: {key} must be {annotation}, not {value!r}")
+    if base == "list of objects":
+        for i, entry in enumerate(value):
+            _check_type(where, f"each {key} entry ({key}[{i}])", "object", entry)
 
 
-def _rows(where: str, key: str, rows, width: int) -> tuple[tuple[float, ...], ...]:
+def _section(where: str, data, schema: dict[str, str]) -> None:
+    """Check a JSON object against a `{key: JSON type}` schema.
+
+    Raises a ValueError naming `where` and every key outside the schema, or
+    the first value of the wrong type; an int is accepted where a float is
+    expected. Missing keys are left to the reader.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be object, not {data!r}")
+    unknown = [k for k in data if k not in schema]
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    for k, v in data.items():
+        _check_type(where, k, schema[k], v)
+
+
+def _rows(where: str, key: str, rows: list, width: int) -> tuple[tuple[float, ...], ...]:
     """A list of rows of `width` numbers each, as tuples of floats."""
-    if not isinstance(rows, (list, tuple)):
-        raise ValueError(f"{where}: {key} must be a list of rows, not {rows!r}")
     for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) != width:
+        if not isinstance(row, list) or len(row) != width:
             raise ValueError(f"{where}: each {key} row must hold {width} numbers, not {row!r}")
         for v in row:
             _check_type(where, key, "float", v)
@@ -337,15 +349,13 @@ def _rows(where: str, key: str, rows, width: int) -> tuple[tuple[float, ...], ..
 
 
 def _from_dict(cls, data: dict, rename: dict[str, str] | None = None):
-    """Inverse of `_to_dict`.
+    """Inverse of `_to_dict`: a `_section` whose schema is the field annotations.
 
-    Unknown keys, missing keys and values of the wrong type raise a ValueError
-    naming them; an int is accepted where a float is expected.
+    Missing keys without a default raise a ValueError naming them.
     """
     rename = rename or {}
     keys = {rename.get(f.name, f.name): f for f in fields(cls)}
-    _check_type(cls.__name__, "each entry", "object", data)
-    _reject_unknown(cls.__name__, data, keys)
+    _section(cls.__name__, data, {k: f.type for k, f in keys.items()})
     missing = [
         k
         for k, f in keys.items()
@@ -353,8 +363,6 @@ def _from_dict(cls, data: dict, rename: dict[str, str] | None = None):
     ]
     if missing:
         raise ValueError(f"{cls.__name__}: missing keys {missing}")
-    for k, v in data.items():
-        _check_type(cls.__name__, k, keys[k].type, v)
     return cls(**{keys[k].name: v for k, v in data.items()})
 
 
@@ -379,12 +387,13 @@ def scenario_to_json(trace: ScenarioTrace) -> dict:
     }
 
 
-_FAP_KEYS = ("id", "waypoints", "demand_bps", "demand_schedule")
-# Every key a scenario file may hold, and the JSON type of its value.
-_SCENARIO_TYPES = {
-    "venue": "object", "channel": "object", "mcs_overrides": "list", "mobility": "object",
-    "faps": "list", "duration_s": "float", "planning_period_s": "float", "seed": "int",
+# Every key a scenario file and each of its FAP entries may hold, and the JSON type of its value.
+_SCENARIO_KEYS = {
+    "venue": "object", "channel": "object", "mcs_overrides": "list of objects",
+    "mobility": "object", "faps": "list of objects", "duration_s": "float",
+    "planning_period_s": "float", "seed": "int",
 }
+_FAP_KEYS = {"id": "str", "waypoints": "list", "demand_bps": "float", "demand_schedule": "list"}
 
 
 def scenario_from_json(data: dict) -> ScenarioTrace:
@@ -394,11 +403,7 @@ def scenario_from_json(data: dict) -> ScenarioTrace:
     replaced by the file's own where it has them, so a file without any
     waypoints reloads to the exact trace `generate_rwm` would produce.
     """
-    _check_type("scenario", "the file", "object", data)
-    _reject_unknown("scenario", data, _SCENARIO_TYPES)
-    for key, annotation in _SCENARIO_TYPES.items():
-        if key in data:
-            _check_type("scenario", key, annotation, data[key])
+    _section("scenario", data, _SCENARIO_KEYS)
     venue = _from_dict(Venue, data["venue"])
     mobility = _from_dict(MobilityParams, data.get("mobility", {}))
     duration = float(data["duration_s"])
@@ -406,15 +411,14 @@ def scenario_from_json(data: dict) -> ScenarioTrace:
     gen_rng = random.Random(seed)
     faps = []
     for entry in data["faps"]:
-        _check_type("scenario", "each faps entry", "object", entry)
         where = f"FAP {entry.get('id')}"
-        _reject_unknown(where, entry, _FAP_KEYS)
-        _check_type(where, "id", "str", entry["id"])
+        _section(where, entry, _FAP_KEYS)
+        if ("demand_bps" in entry) == ("demand_schedule" in entry):
+            raise ValueError(f"{where}: needs exactly one of demand_bps and demand_schedule")
         wps = _random_waypoints(gen_rng, venue, mobility, duration)
         if "waypoints" in entry:
             wps = _rows(where, "waypoints", entry["waypoints"], 4)
         if "demand_bps" in entry:
-            _check_type(where, "demand_bps", "float", entry["demand_bps"])
             demand = DemandProfile(constant_bps=float(entry["demand_bps"]))
         else:
             schedule = _rows(where, "demand_schedule", entry["demand_schedule"], 2)

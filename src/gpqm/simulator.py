@@ -293,6 +293,14 @@ def simulate(
                 f"plan covers [{plan.start_s}, {plan.end_s}) s but the run needs "
                 f"[0, {duration}) s"
             )
+    if config.queue == "scheduled":
+        ids = sorted(f.fap_id for f in trace.faps)
+        for p in plan.plans:
+            planned = sorted(f.fap_id for f in p.faps)
+            if planned != ids:
+                raise ValueError(
+                    f"plan at t={p.t_s} s has FAPs {planned}, but the scenario has {ids}"
+                )
     table = trace.mcs_table()
     faps = [_Fap(i, tf, config) for i, tf in enumerate(trace.faps)]
     traffic = config.traffic

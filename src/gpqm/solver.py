@@ -26,6 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import (
+    CAPACITY_MODELS,
     ChannelParams,
     McsTable,
     calibrated_mcs_table,
@@ -76,10 +77,10 @@ class OptProblem:
     snapshot: Snapshot
     channel: ChannelParams
     venue: Venue
-    capacity_model: str = "regression"  # regression | shannon
+    capacity_model: str = "regression"  # one of channel.CAPACITY_MODELS
 
     def __post_init__(self) -> None:
-        if self.capacity_model not in ("regression", "shannon"):
+        if self.capacity_model not in CAPACITY_MODELS:
             raise ValueError(f"unknown capacity model {self.capacity_model!r}")
 
     @property

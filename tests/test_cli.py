@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -457,9 +458,34 @@ def _set(key, value):
         ("plan", "faps", lambda d: d["plans"][0].update(faps=5)),
         ("plan", "plans[0]: each faps entry", lambda d: d["plans"][0]["faps"].__setitem__(0, 5)),
         ("plan", "fgw", lambda d: d["plans"][0].update(fgw=[50.0, 50.0])),
+        ("plan", "plan file: unknown keys ['extra']", _set("extra", 1)),
+        ("plan", "config_echo: unknown keys ['update_periods']",
+         lambda d: d["config_echo"].update(update_periods=5.0)),
+        ("plan", "plans[0]: unknown keys ['fgw_typo']", lambda d: d["plans"][0].update(fgw_typo=1)),
+        ("plan", "update period must be positive and finite",
+         lambda d: d["config_echo"].update(sampling_period_s=math.nan)),
+        ("plan", "plans[0]: t, p_tx_dbm and fgw must be finite",
+         lambda d: d["plans"][0].update(p_tx_dbm=math.nan)),
+        ("plan", "plans[0]: t, p_tx_dbm and fgw must be finite",
+         lambda d: d["plans"][0]["fgw"].__setitem__(2, math.inf)),
+        ("plan", "plans[0]: FAP fap0 holds a NaN",
+         lambda d: d["plans"][0]["faps"][0].update(rho=math.nan)),
+        ("plan", "plans[0]: FAP fap0: queue_pkts must be at least 1",
+         lambda d: d["plans"][0]["faps"][0].update(queue_pkts=-5)),
+        ("plan", "has FAPs [], but the scenario has ['fap0']",
+         lambda d: d["plans"][0]["faps"].clear()),
+        ("plan", "has FAPs ['fap0', 'ghost']",
+         lambda d: d["plans"][0]["faps"].append({**d["plans"][0]["faps"][0], "id": "ghost"})),
+        ("scenario", "FAP fap0: needs exactly one of demand_bps and demand_schedule",
+         lambda d: d["faps"][0].update(demand_schedule=[[0.0, 5e6]])),
+        ("scenario", "FAP fap0: needs exactly one of demand_bps and demand_schedule",
+         lambda d: _drop_demand(d["faps"][0])),
     ],
     ids=["fap-entry", "venue", "faps", "mcs-overrides", "mobility-str", "plans", "plan-entry",
-         "t-null", "fgw-int", "plan-faps", "plan-fap-entry", "fgw-two-numbers"],
+         "t-null", "fgw-int", "plan-faps", "plan-fap-entry", "fgw-two-numbers",
+         "plan-unknown-top", "plan-unknown-echo", "plan-unknown-entry", "period-nan", "power-nan",
+         "fgw-inf", "plan-fap-nan", "queue-negative", "plan-lacks-fap", "plan-extra-fap",
+         "both-demands", "no-demand"],
 )
 def test_exit_usage_names_malformed_file_shape(tmp_path, capsys, file, named, edit):
     scenario, plan = tmp_path / "s.json", tmp_path / "p.json"
