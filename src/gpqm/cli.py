@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -61,10 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--duration", type=float, default=100.0, help="trace length in s")
     g.add_argument("--seed", type=int, default=1)
     g.add_argument("--planning-period", type=float, default=DEFAULT_PLANNING_PERIOD_S)
-    g.add_argument("--demand-fraction", type=float, action="append", default=None,
-                   help="fraction of the reference fair share; repeat to cycle")
-    g.add_argument("--demand", type=float, action="append", default=None,
-                   help="explicit per-FAP demand in bit/s; repeat per FAP")
+    demand = g.add_mutually_exclusive_group()
+    demand.add_argument("--demand-fraction", type=float, action="append", default=None,
+                        help="fraction of the reference fair share; repeat to cycle")
+    demand.add_argument("--demand", type=float, action="append", default=None,
+                        help="explicit per-FAP demand in bit/s; repeat per FAP")
     g.add_argument("--planar-z", type=float, default=None,
                    help="fix all FAP altitudes to this height")
     g.add_argument("--out", required=True, help="scenario JSON path")
@@ -180,16 +182,21 @@ def _cmd_plan(args) -> int:
     return EXIT_OK
 
 
+# The header of each run file that `analyze cdf` reads back; its last column holds the samples.
+THROUGHPUT_HEADER = ("t_s", "throughput_bps")
+DELAY_HEADER = ("delay_s",)
+
+
 def _write_metrics(out_dir: Path, metrics, write_packets: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "throughput.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t_s", "throughput_bps"])
+        w.writerow(THROUGHPUT_HEADER)
         for i, v in enumerate(metrics.throughput_samples_bps):
             w.writerow([metrics.bootstrap_s + i, v])
     with (out_dir / "delays.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["delay_s"])
+        w.writerow(DELAY_HEADER)
         for v in metrics.delay_samples_s:
             w.writerow([v])
     if write_packets:
@@ -318,22 +325,38 @@ def _resolve_run_dir(run: Path) -> Path:
     return run
 
 
+def _read_column(path: Path, header: tuple[str, ...]) -> list[float]:
+    """The last column of a run file written under `header`.
+
+    Raises a ValueError naming the file and the line of a different header or
+    of a row that is not `len(header)` fields ending in a finite number.
+    """
+    with path.open(newline="") as fh:
+        rows = csv.reader(fh)
+        if tuple(next(rows, ())) != header:
+            raise ValueError(f"{path} line 1: header must be {','.join(header)}")
+        values = []
+        for row in rows:
+            try:
+                value = float(row[-1])
+            except (IndexError, ValueError):
+                value = math.nan
+            if len(row) != len(header) or not math.isfinite(value):
+                raise ValueError(
+                    f"{path} line {rows.line_num}: expected {len(header)} fields ending in a "
+                    f"finite number, not {row}"
+                )
+            values.append(value)
+    return values
+
+
 def _cmd_analyze_cdf(args) -> int:
     delays: list[float] = []
     throughputs: list[float] = []
     for d in args.metrics:
         run = _resolve_run_dir(Path(d))
-        thr_file = run / "throughput.csv"
-        delay_file = run / "delays.csv"
-        if not thr_file.exists():
-            raise FileNotFoundError(f"{thr_file} not found")
-        with thr_file.open() as fh:
-            for row in csv.DictReader(fh):
-                throughputs.append(float(row["throughput_bps"]))
-        if delay_file.exists():
-            with delay_file.open() as fh:
-                for row in csv.DictReader(fh):
-                    delays.append(float(row["delay_s"]))
+        throughputs += _read_column(run / "throughput.csv", THROUGHPUT_HEADER)
+        delays += _read_column(run / "delays.csv", DELAY_HEADER)
     p = args.percentile
     thr = summarize(throughputs)
     payload = {

@@ -25,6 +25,7 @@ _DIRECTIONS = tuple(
 )
 
 _STEP_LEVELS = 11  # 8 m halved down to ~0.008 m
+CONTAINS_TOL_M = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,9 @@ class Venue:
             min(max(p[2], self.min_altitude_m), self.z_max_m),
         )
 
-    def contains(self, p: Point, tol: float = 1e-9) -> bool:
+    def contains(self, p: Point) -> bool:
+        """Inside the flight volume, up to CONTAINS_TOL_M of float noise."""
+        tol = CONTAINS_TOL_M
         return (
             -tol <= p[0] <= self.x_max_m + tol
             and -tol <= p[1] <= self.y_max_m + tol

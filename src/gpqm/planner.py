@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import astuple, dataclass, replace
+from operator import attrgetter
 from typing import ClassVar
 
 from .channel import ChannelParams, McsTable, default_mcs_table, max_distance_m
@@ -189,9 +190,7 @@ class PlanSeries:
         """Zero-order hold: the latest plan not newer than `t_s`."""
         if t_s < self.start_s - 1e-9:
             raise ValueError(f"no plan at t={t_s} s (series starts at {self.start_s} s)")
-        times = [p.t_s for p in self.plans]
-        idx = bisect.bisect_right(times, t_s + 1e-12) - 1
-        return self.plans[idx]
+        return self.plans[bisect.bisect_right(self.plans, t_s + 1e-12, key=attrgetter("t_s")) - 1]
 
 
 def plan_series(trace: ScenarioTrace, config: PlannerConfig) -> PlanSeries:
@@ -300,12 +299,11 @@ _FAP_PLAN_KEYS = {
 }
 
 
-def plan_series_to_json(series: PlanSeries, duration_s: float | None = None) -> dict:
-    """Export a series on a 1 s zero-order-hold grid (the simulator cadence)."""
-    end = duration_s if duration_s is not None else series.end_s
+def plan_series_to_json(series: PlanSeries, duration_s: float) -> dict:
+    """Export a series up to `duration_s` on a 1 s zero-order-hold grid (the simulator cadence)."""
     plans = []
     t = series.start_s
-    while t < end - 1e-9:
+    while t < duration_s - 1e-9:
         plan = series.at(t)
         plans.append(
             {
@@ -325,9 +323,13 @@ def plan_series_to_json(series: PlanSeries, duration_s: float | None = None) -> 
     }
 
 
-# Every key a plan file, its config echo and each plan entry may hold, and its JSON type.
+# Every key a plan file, its config echo and each plan entry may hold, its JSON
+# type, and the default of each optional key. A file without an echo reads as
+# plans updated every second on a 1 s grid.
 _PLAN_FILE_KEYS = {"config_echo": "object", "plans": "list of objects"}
+_PLAN_FILE_DEFAULTS = {"config_echo": {}}
 _CONFIG_ECHO_KEYS = {"update_period_s": "float", "sampling_period_s": "float"}
+_CONFIG_ECHO_DEFAULTS = {"update_period_s": 1.0, "sampling_period_s": 1.0}
 _PLAN_KEYS = {"t": "float", "p_tx_dbm": "float", "fgw": "list", "faps": "list of objects"}
 
 
@@ -345,7 +347,7 @@ def _plan_from_json(where: str, entry: dict) -> GpqmPlan:
     The time, power and gateway must be finite, each FAP entry free of NaN
     and each queue at least one packet.
     """
-    _section(where, entry, _PLAN_KEYS)
+    entry = _section(where, entry, _PLAN_KEYS, {})
     plan = GpqmPlan(
         t_s=float(entry["t"]),
         tx_power_dbm=float(entry["p_tx_dbm"]),
@@ -366,8 +368,10 @@ def _plan_from_json(where: str, entry: dict) -> GpqmPlan:
 
 
 def plan_series_from_json(data: dict) -> PlanSeries:
-    _section("plan file", data, _PLAN_FILE_KEYS)
-    echo = data.get("config_echo", {})
-    _section("config_echo", echo, _CONFIG_ECHO_KEYS)
+    data = _section("plan file", data, _PLAN_FILE_KEYS, _PLAN_FILE_DEFAULTS)
+    echo = _section("config_echo", data["config_echo"], _CONFIG_ECHO_KEYS, _CONFIG_ECHO_DEFAULTS)
+    period = echo["update_period_s"]
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"config_echo: update_period_s must be positive and finite, not {period}")
     plans = [_plan_from_json(f"plans[{i}]", entry) for i, entry in enumerate(data["plans"])]
-    return PlanSeries(tuple(plans), float(echo.get("sampling_period_s", 1.0)))
+    return PlanSeries(tuple(plans), float(echo["sampling_period_s"]))

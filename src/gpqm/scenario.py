@@ -207,6 +207,11 @@ def _random_waypoints(
 ) -> tuple[Waypoint, ...]:
     if not math.isfinite(duration_s):
         raise ValueError(f"duration must be positive and finite, not {duration_s}")
+    z = mobility.planar_z_m
+    if z is not None and not venue.min_altitude_m <= z <= venue.z_max_m:
+        raise ValueError(
+            f"planar altitude {z} m outside the venue's [{venue.min_altitude_m}, {venue.z_max_m}] m"
+        )
     pos = _random_point(rng, venue, mobility)
     t = 0.0
     points = [(t, *pos)]
@@ -322,12 +327,12 @@ def _check_type(where: str, key: str, annotation: str, value) -> None:
             _check_type(where, f"each {key} entry ({key}[{i}])", "object", entry)
 
 
-def _section(where: str, data, schema: dict[str, str]) -> None:
-    """Check a JSON object against a `{key: JSON type}` schema.
+def _section(where: str, data, schema: dict[str, str], defaults: dict) -> dict:
+    """Check a JSON object against a `{key: JSON type}` schema; return it with `defaults` added.
 
-    Raises a ValueError naming `where` and every key outside the schema, or
-    the first value of the wrong type; an int is accepted where a float is
-    expected. Missing keys are left to the reader.
+    Raises a ValueError naming `where` and every key outside the schema, the
+    first value of the wrong type, or every schema key that is neither present
+    nor in `defaults`; an int is accepted where a float is expected.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be object, not {data!r}")
@@ -336,6 +341,10 @@ def _section(where: str, data, schema: dict[str, str]) -> None:
         raise ValueError(f"{where}: unknown keys {unknown}")
     for k, v in data.items():
         _check_type(where, k, schema[k], v)
+    missing = [k for k in schema if k not in data and k not in defaults]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}")
+    return {**defaults, **data}
 
 
 def _rows(where: str, key: str, rows: list, width: int) -> tuple[tuple[float, ...], ...]:
@@ -349,21 +358,11 @@ def _rows(where: str, key: str, rows: list, width: int) -> tuple[tuple[float, ..
 
 
 def _from_dict(cls, data: dict, rename: dict[str, str] | None = None):
-    """Inverse of `_to_dict`: a `_section` whose schema is the field annotations.
-
-    Missing keys without a default raise a ValueError naming them.
-    """
-    rename = rename or {}
-    keys = {rename.get(f.name, f.name): f for f in fields(cls)}
-    _section(cls.__name__, data, {k: f.type for k, f in keys.items()})
-    missing = [
-        k
-        for k, f in keys.items()
-        if k not in data and f.default is MISSING and f.default_factory is MISSING
-    ]
-    if missing:
-        raise ValueError(f"{cls.__name__}: missing keys {missing}")
-    return cls(**{keys[k].name: v for k, v in data.items()})
+    """Inverse of `_to_dict`: a `_section` whose schema and defaults are the fields'."""
+    keys = {(rename or {}).get(f.name, f.name): f for f in fields(cls)}
+    defaults = {k: f.default for k, f in keys.items() if f.default is not MISSING}
+    section = _section(cls.__name__, data, {k: f.type for k, f in keys.items()}, defaults)
+    return cls(**{keys[k].name: v for k, v in section.items()})
 
 
 def scenario_to_json(trace: ScenarioTrace) -> dict:
@@ -387,13 +386,17 @@ def scenario_to_json(trace: ScenarioTrace) -> dict:
     }
 
 
-# Every key a scenario file and each of its FAP entries may hold, and the JSON type of its value.
+# Every key a scenario file and each of its FAP entries may hold, the JSON type
+# of its value, and the default of each optional key.
 _SCENARIO_KEYS = {
     "venue": "object", "channel": "object", "mcs_overrides": "list of objects",
     "mobility": "object", "faps": "list of objects", "duration_s": "float",
     "planning_period_s": "float", "seed": "int",
 }
+_SCENARIO_DEFAULTS = {"mcs_overrides": [], "mobility": {}, "seed": 0,
+                      "planning_period_s": DEFAULT_PLANNING_PERIOD_S}
 _FAP_KEYS = {"id": "str", "waypoints": "list", "demand_bps": "float", "demand_schedule": "list"}
+_FAP_DEFAULTS = {"waypoints": None, "demand_bps": None, "demand_schedule": None}
 
 
 def scenario_from_json(data: dict) -> ScenarioTrace:
@@ -403,22 +406,21 @@ def scenario_from_json(data: dict) -> ScenarioTrace:
     replaced by the file's own where it has them, so a file without any
     waypoints reloads to the exact trace `generate_rwm` would produce.
     """
-    _section("scenario", data, _SCENARIO_KEYS)
+    data = _section("scenario", data, _SCENARIO_KEYS, _SCENARIO_DEFAULTS)
     venue = _from_dict(Venue, data["venue"])
-    mobility = _from_dict(MobilityParams, data.get("mobility", {}))
+    mobility = _from_dict(MobilityParams, data["mobility"])
     duration = float(data["duration_s"])
-    seed = int(data.get("seed", 0))
-    gen_rng = random.Random(seed)
+    gen_rng = random.Random(data["seed"])
     faps = []
-    for entry in data["faps"]:
-        where = f"FAP {entry.get('id')}"
-        _section(where, entry, _FAP_KEYS)
-        if ("demand_bps" in entry) == ("demand_schedule" in entry):
+    for i, entry in enumerate(data["faps"]):
+        where = f"FAP {entry['id']}" if "id" in entry else f"faps[{i}]"
+        entry = _section(where, entry, _FAP_KEYS, _FAP_DEFAULTS)
+        if (entry["demand_bps"] is None) == (entry["demand_schedule"] is None):
             raise ValueError(f"{where}: needs exactly one of demand_bps and demand_schedule")
         wps = _random_waypoints(gen_rng, venue, mobility, duration)
-        if "waypoints" in entry:
+        if entry["waypoints"] is not None:
             wps = _rows(where, "waypoints", entry["waypoints"], 4)
-        if "demand_bps" in entry:
+        if entry["demand_bps"] is not None:
             demand = DemandProfile(constant_bps=float(entry["demand_bps"]))
         else:
             schedule = _rows(where, "demand_schedule", entry["demand_schedule"], 2)
@@ -429,10 +431,10 @@ def scenario_from_json(data: dict) -> ScenarioTrace:
         channel=_from_dict(ChannelParams, data["channel"]),
         faps=tuple(faps),
         duration_s=duration,
-        planning_period_s=float(data.get("planning_period_s", DEFAULT_PLANNING_PERIOD_S)),
-        seed=seed,
+        planning_period_s=float(data["planning_period_s"]),
+        seed=data["seed"],
         mobility=mobility,
-        mcs_overrides=tuple(_from_dict(McsEntry, e) for e in data.get("mcs_overrides", [])),
+        mcs_overrides=tuple(_from_dict(McsEntry, e) for e in data["mcs_overrides"]),
     )
 
 

@@ -331,7 +331,9 @@ def simulate(
                 t = start + PACKET_BITS / f.trace.demand.at(start)
             push(t, arrival, f)
 
-    thr_bins: dict[int, float] = {}
+    # One bin per started second of the window; the last may cover part of a second.
+    thr_bins = [0.0] * math.ceil(config.measure_s)
+    last_bin = len(thr_bins) - 1
     delay_samples: list[float] = []
     records: list[PacketRecord] = []
     in_window_lo = config.bootstrap_s
@@ -411,8 +413,8 @@ def simulate(
         if in_window_lo <= delivered_at < duration:
             f.w_delivered += 1
             delay_samples.append(delivered_at - created)
-            second = int(delivered_at - in_window_lo)
-            thr_bins[second] = thr_bins.get(second, 0.0) + PACKET_BITS
+            # an offset that rounds up to measure_s belongs to the last bin
+            thr_bins[min(int(delivered_at - in_window_lo), last_bin)] += PACKET_BITS
         if record:
             records.append(
                 PacketRecord(f.trace.fap_id, created, delivered_at, False, delivered_at - created)
@@ -435,13 +437,12 @@ def simulate(
     heap.clear()
     del arrival, departure
 
-    samples = tuple(thr_bins.get(s, 0.0) for s in range(int(round(config.measure_s))))
     return SimMetrics(
         label=f"{config.placement}-{config.queue}",
         seed=config.seed,
         bootstrap_s=config.bootstrap_s,
         measure_s=config.measure_s,
-        throughput_samples_bps=samples,
+        throughput_samples_bps=tuple(thr_bins),
         delay_samples_s=tuple(delay_samples),
         generated=sum(f.generated for f in faps),
         delivered=sum(f.delivered for f in faps),

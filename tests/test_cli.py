@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,18 @@ def test_generate_cycles_demand_fractions(tmp_path):
     ref = reference_fair_share_bps(3)
     demands = [f.demand.at(0.0) for f in load_scenario(scenario).faps]
     assert demands == [0.5 * ref, 0.2 * ref, 0.5 * ref]
+
+
+def test_generate_refuses_demand_with_demand_fraction(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([
+            "generate", "--demand-fraction", "0.5", "--demand", "1e6", "--demand", "2e6",
+            "--demand", "3e6", "--out", str(out),
+        ])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_defaults_are_the_library_defaults():
@@ -159,6 +172,45 @@ def test_cdf_payload(pipeline):
     assert doc["delay"]["p_value_s"] > 0.0
 
 
+@pytest.mark.parametrize(
+    "file, edit, named",
+    [
+        ("delays.csv", lambda rows: rows.insert(2, "nan"), "delays.csv line 3: expected 1 fields"),
+        ("throughput.csv", lambda rows: rows.insert(2, "5.0"),
+         "throughput.csv line 3: expected 2 fields"),
+        ("delays.csv", lambda rows: rows.__setitem__(0, "delay"),
+         "delays.csv line 1: header must be delay_s"),
+    ],
+    ids=["nan-row", "short-row", "renamed-header"],
+)
+def test_cdf_names_the_file_and_line_of_a_bad_row(pipeline, tmp_path, capsys, file, edit, named):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["baseline"] / "seed1", run)
+    rows = (run / file).read_text().splitlines()
+    edit(rows)
+    (run / file).write_text("\n".join(rows) + "\n")
+    out = tmp_path / "cdf.json"
+    assert cli.main(["analyze", "cdf", "--metrics", str(run), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_window_shorter_than_a_second_gives_one_sample(tmp_path):
+    scenario, metrics = tmp_path / "s.json", tmp_path / "m"
+    assert cli.main([
+        "generate", "--faps", "3", "--duration", "12", "--seed", "6", "--out", str(scenario),
+    ]) == 0
+    assert cli.main([
+        "simulate", "--scenario", str(scenario), "--policy", "venue-center",
+        "--bootstrap", "0.5", "--measure", "0.25", "--out", str(metrics),
+    ]) == 0
+    with (metrics / "seed1" / "throughput.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    summary = json.loads((metrics / "seed1" / "summary.json").read_text())
+    assert [float(r["t_s"]) for r in rows] == [0.5]
+    assert float(rows[0]["throughput_bps"]) == 11200.0 * summary["window_delivered"] > 0
+
+
 def test_pair_analysis_both_capacity_models(tmp_path):
     for model in ("shannon", "regression"):
         out = tmp_path / f"pair-{model}.json"
@@ -236,9 +288,10 @@ SIM = ["simulate", "--scenario", "s.json", "--policy", "venue-center", "--out", 
         [*SIM, "--bootstrap", "1", "--measure", "1", "--baseline-power", "nan"],
         [*SIM, "--bootstrap", "nan", "--measure", "1"],
         [*SIM, "--bootstrap", "1", "--measure", "inf"],
+        ["generate", "--planar-z", "100", "--duration", "12", "--out", "s.json"],
     ],
     ids=["planar-z", "demand", "pair-power", "pair-snr", "pair-power-overflow",
-         "baseline-power", "bootstrap", "measure"],
+         "baseline-power", "bootstrap", "measure", "planar-z-above-venue"],
 )
 def test_exit_usage_on_nan_flag(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -480,12 +533,19 @@ def _set(key, value):
          lambda d: d["faps"][0].update(demand_schedule=[[0.0, 5e6]])),
         ("scenario", "FAP fap0: needs exactly one of demand_bps and demand_schedule",
          lambda d: _drop_demand(d["faps"][0])),
+        ("plan", "plans[0]: missing keys ['t']", lambda d: d["plans"][0].pop("t")),
+        ("scenario", "faps[0]: missing keys ['id']", lambda d: d["faps"][0].pop("id")),
+        ("scenario", "scenario: missing keys ['duration_s']", lambda d: d.pop("duration_s")),
+        ("plan", "plan file: missing keys ['plans']", lambda d: d.pop("plans")),
+        ("plan", "config_echo: update_period_s must be positive and finite",
+         lambda d: d["config_echo"].update(update_period_s=math.nan)),
     ],
     ids=["fap-entry", "venue", "faps", "mcs-overrides", "mobility-str", "plans", "plan-entry",
          "t-null", "fgw-int", "plan-faps", "plan-fap-entry", "fgw-two-numbers",
          "plan-unknown-top", "plan-unknown-echo", "plan-unknown-entry", "period-nan", "power-nan",
          "fgw-inf", "plan-fap-nan", "queue-negative", "plan-lacks-fap", "plan-extra-fap",
-         "both-demands", "no-demand"],
+         "both-demands", "no-demand", "plan-lacks-t", "fap-lacks-id", "lacks-duration",
+         "lacks-plans", "update-period-nan"],
 )
 def test_exit_usage_names_malformed_file_shape(tmp_path, capsys, file, named, edit):
     scenario, plan = tmp_path / "s.json", tmp_path / "p.json"

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpqm import (
+    McsEntry,
     MobilityParams,
     PlannerConfig,
     PlanningError,
@@ -33,6 +36,26 @@ scenarios = st.builds(
 def test_scenario_file_round_trips(trace):
     text = json.dumps(scenario_to_json(trace))
     assert scenario_from_json(json.loads(text)) == trace
+
+
+def _required_keys(doc: dict) -> list[tuple[dict, str]]:
+    """Every (section, key) of a scenario file whose key has no default."""
+    return [
+        *((doc, k) for k in ("venue", "channel", "faps", "duration_s")),
+        *((f, "id") for f in doc["faps"]),
+        *((e, k) for e in doc["mcs_overrides"]
+          for k in ("index", "min_snr_db", "phy_rate_bps", "fair_share_bps")),
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(scenarios, st.data())
+def test_deleting_a_required_key_names_it(trace, data):
+    doc = scenario_to_json(replace(trace, mcs_overrides=(McsEntry(5, 26.0, 468e6, 130e6),)))
+    section, key = data.draw(st.sampled_from(_required_keys(doc)))
+    del section[key]
+    with pytest.raises(ValueError, match=rf"missing keys \['{key}'\]"):
+        scenario_from_json(doc)
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)

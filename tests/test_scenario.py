@@ -234,7 +234,7 @@ def test_scenario_json_missing_venue_key_raises():
     trace = generate_rwm(n_faps=1, duration_s=10.0, seed=1)
     data = scenario_to_json(trace)
     del data["venue"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"missing keys \['venue'\]"):
         scenario_from_json(data)
 
 

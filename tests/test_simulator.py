@@ -434,6 +434,15 @@ def test_fractional_warmup_bins_the_measurement_window():
     assert math.fsum(m.throughput_samples_bps) == 11200.0 * m.window_delivered
 
 
+@pytest.mark.parametrize("measure_s, samples", [(1.4, 2), (2.5, 3)])
+def test_partial_second_window_keeps_its_tail(measure_s, samples):
+    trace = generate_rwm(n_faps=3, duration_s=40.0, seed=6)
+    m = simulate(trace, SimConfig(bootstrap_s=0.5, measure_s=measure_s,
+                                  placement="venue-center", queue="droptail"))
+    assert len(m.throughput_samples_bps) == samples
+    assert math.fsum(m.throughput_samples_bps) == 11200.0 * m.window_delivered
+
+
 # --- golden outputs ---------------------------------------------------------
 # One SHA-256 of every SimMetrics field, packet records included, per cell.
 # A change to the engine that reorders events or RNG draws changes them, so a
