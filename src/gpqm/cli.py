@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -187,7 +188,16 @@ THROUGHPUT_HEADER = ("t_s", "throughput_bps")
 DELAY_HEADER = ("delay_s",)
 
 
+def _csv_prefix(field: str) -> str:
+    """`field` and the comma after it, as csv.writer writes them at the start of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([field, ""])
+    return buf.getvalue().removesuffix("\r\n")
+
+
 def _write_metrics(out_dir: Path, metrics, write_packets: bool) -> None:
+    """Write a run's CSVs and summary. The per-packet files are streamed row by
+    row as csv.writer would write them: floats by repr, CRLF line ends."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "throughput.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -195,17 +205,18 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool) -> None:
         for i, v in enumerate(metrics.throughput_samples_bps):
             w.writerow([metrics.bootstrap_s + i, v])
     with (out_dir / "delays.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(DELAY_HEADER)
-        for v in metrics.delay_samples_s:
-            w.writerow([v])
+        csv.writer(fh).writerow(DELAY_HEADER)
+        fh.writelines(f"{v!r}\r\n" for v in metrics.delay_samples_s)
     if write_packets:
         with (out_dir / "packets.csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["source_id", "created_s", "delay_s", "dropped"])
-            for p in metrics.packets:
-                w.writerow([p.fap_id, p.created_s, "" if p.delay_s is None else p.delay_s,
-                            int(p.dropped)])
+            csv.writer(fh).writerow(["source_id", "created_s", "delay_s", "dropped"])
+            # every record's FAP is one of the run's FAPs
+            prefix = {fap_id: _csv_prefix(fap_id) for fap_id in metrics.per_fap_goodput_bps}
+            fh.writelines(
+                f"{prefix[p.fap_id]}{p.created_s!r},"
+                f"{'' if p.delay_s is None else repr(p.delay_s)},{int(p.dropped)}\r\n"
+                for p in metrics.packets
+            )
     p90_delay, p90_throughput = metrics.percentiles()
     summary = {
         "label": metrics.label,

@@ -8,24 +8,28 @@ Poisson, exponential on/off, and a rate-halving AIMD approximation. An
 on/off source draws its exponential on and off periods (mean 0.5 s) as it
 schedules; a packet due at or after the end of its on period is not sent.
 
-Everything is driven by seeded `random.Random` streams and a total event
-order, so identical inputs reproduce bit-identical metrics. Ticks, once per
-whole second, set positions, rates, scheduled queue limits, Poisson's rate and
-AIMD's ceiling (on/off reads the demand at each packet): a tick runs after
-every event due before it and before any event due at its instant; other
-events due at the same time run in the order they were scheduled. The event
-heap holds only packet arrivals and departures.
+Everything is driven by seeded `random.Random` streams, one set per FAP, and
+a total event order, so identical inputs reproduce bit-identical metrics.
+Ticks, once per whole second, set positions, rates, scheduled queue limits,
+Poisson's rate and AIMD's ceiling (on/off reads the demand at each packet): a
+tick runs after every event due before it and before any event due at its
+instant. FAPs interact only at ticks, so between two ticks each FAP runs its
+own loop over its two pending events, the next arrival and the next
+departure; within a FAP, events due at the same time run in the order they
+were scheduled. The FAPs' delay samples and packet records are then merged in
+the time order of the events that made them; across FAPs, outputs at one
+instant are recorded in FAP order.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain
+from typing import NamedTuple
 
 from .channel import SPEED_OF_LIGHT_MPS, friis_snr_db, rician_snr_sample
 from .planner import PlanSeries
@@ -38,6 +42,9 @@ _RED_WEIGHT = 0.002
 _CODEL_TARGET_S = 0.005
 _CODEL_INTERVAL_S = 0.1
 _CODEL_LIMIT_PKTS = 1000
+# FAPs run alone for this long between merges of their outputs: a short slice
+# keeps the merge's buffers, and so the run's peak memory, small.
+_MERGE_EVERY_S = 1.0 / 16.0
 
 PLACEMENTS = ("gpqm", "centroid", "venue-center", "fixed")
 QUEUES = ("scheduled", "droptail", "red", "codel")
@@ -85,8 +92,7 @@ class SimConfig:
             raise ValueError("fixed placement needs fixed_position")
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
     fap_id: str
     created_s: float
     delivered_s: float | None
@@ -227,13 +233,23 @@ class CoDelQueue(DropTailQueue):
 
 
 class _Fap:
-    def __init__(self, i: int, trace_fap, config: SimConfig):
+    """One FAP's source, queue and server, run on its own from tick to tick.
+
+    Its pending events are the next arrival and the next departure; of two due
+    at one time, the one scheduled first runs first. Outputs wait in `delays`
+    and `records`, each beside the time of the event that made it, until
+    `simulate` merges them with the other FAPs'.
+    """
+
+    def __init__(self, i: int, trace_fap, config: SimConfig, thr_bins: list[float]):
         base = config.seed * 1_000_003
         self.trace = trace_fap
         self.queue = _queue(config, base, i)
         self.arr_rng = random.Random(base + 2 * i)
         self.srv_rng = random.Random(base + 2 * i + 1)
         self.fade_rng = random.Random(base + 700_000 + i)
+        self.config = config
+        self.thr_bins = thr_bins
         self.serving = None
         self.rate_bps = 0.0
         self.prop_s = 0.0
@@ -241,12 +257,144 @@ class _Fap:
         self.aimd_rate_bps = self.demand_bps / 2.0
         # End of an on/off source's on period: a draw for any other would shift its arrivals.
         self.off_at = self.arr_rng.expovariate(2.0) if config.traffic == "onoff" else math.inf
-        self.generated = 0
-        self.delivered = 0
-        self.dropped = 0
-        self.w_generated = 0
-        self.w_delivered = 0
-        self.w_dropped = 0
+        # A silent source stays silent (see DemandProfile).
+        self.arrival_at = self.next_arrival(0.0) if self.demand_bps > 0.0 else math.inf
+        self.departure_at = math.inf
+        self.arrival_last = True  # whether the pending arrival was scheduled after the departure
+        self.delay_at: list[float] = []
+        self.delays: list[float] = []
+        self.record_at: list[float] = []
+        self.records: list[PacketRecord] = []
+        self.generated = self.delivered = self.dropped = 0
+        self.w_generated = self.w_delivered = self.w_dropped = 0
+
+    def next_arrival(self, now: float) -> float:
+        """Time of the source's next packet after `now` (inf if it sends no more)."""
+        traffic = self.config.traffic
+        if traffic == "poisson":
+            return now + self.arr_rng.expovariate(self.demand_bps / PACKET_BITS)
+        if traffic == "aimd":
+            return now + PACKET_BITS / self.aimd_rate_bps
+        # Skip to the next on period until the packet fits in one or the run ends.
+        demand = self.trace.demand
+        t = now + PACKET_BITS / demand.at(now)
+        while t >= self.off_at:
+            if self.off_at >= self.config.bootstrap_s + self.config.measure_s:
+                return math.inf
+            start = self.off_at + self.arr_rng.expovariate(2.0)
+            self.off_at = start + self.arr_rng.expovariate(2.0)
+            t = start + PACKET_BITS / demand.at(start)
+        return t
+
+    def run(self, now: float, until: float, tick: bool) -> None:
+        """Run the events due from `now` to before `until`, first serving an
+        idle link if `now` is a tick.
+
+        An arrival joins the queue or is dropped, the server starts if it is
+        idle, then the source schedules its next packet; a departure delivers
+        its packet, then the server takes the next one.
+        """
+        cfg = self.config
+        lo, hi = cfg.bootstrap_s, cfg.bootstrap_s + cfg.measure_s
+        aimd = cfg.traffic == "aimd"
+        record = cfg.record_packets
+        fap_id = self.trace.fap_id
+        queue = self.queue
+        items, admit, pull = queue.items, queue.admit, queue.pull
+        next_arrival = self.next_arrival
+        thr = self.thr_bins
+        last_bin = len(thr) - 1
+        delay_at, delays = self.delay_at.append, self.delays.append
+        record_at, records = self.record_at.append, self.records.append
+        rate, prop = self.rate_bps, self.prop_s
+        st = PACKET_BITS / rate if rate > 0.0 else math.inf
+        srv_expo = None if cfg.service_mode == "deterministic" else self.srv_rng.expovariate
+        serving, arrival_at, departure_at = self.serving, self.arrival_at, self.departure_at
+        arrival_last = self.arrival_last
+        generated = delivered = dropped = w_generated = w_delivered = w_dropped = 0
+
+        serve, arrival, drops = tick, False, ()
+        while True:
+            if serve and serving is None and rate > 0.0:
+                serving, drops = pull(now)
+                if serving is not None:
+                    departure_at = now + (st if srv_expo is None else srv_expo(rate / PACKET_BITS))
+                    arrival_last = False
+            for created in drops:
+                dropped += 1
+                if lo <= now < hi:
+                    w_dropped += 1
+                if aimd:
+                    self.aimd_rate_bps = max(self.aimd_rate_bps * 0.5, PACKET_BITS)
+                if record:
+                    record_at(now)
+                    records(PacketRecord(fap_id, created, None, True, None))
+            if arrival:
+                arrival_at = next_arrival(now)
+                arrival_last = True
+
+            if arrival_at < departure_at or (arrival_at == departure_at and not arrival_last):
+                now = arrival_at
+                if now >= until:
+                    break
+                arrival = True
+                generated += 1
+                if lo <= now < hi:
+                    w_generated += 1
+                serve = admit(len(items) + (serving is not None))
+                if serve:
+                    items.append(now)
+                    drops = ()
+                else:
+                    drops = (now,)
+            else:
+                now = departure_at
+                if now >= until:
+                    break
+                serve, arrival, drops = True, False, ()
+                created, serving, departure_at = serving, None, math.inf
+                delivered_at = now + prop
+                delivered += 1
+                if lo <= delivered_at < hi:
+                    w_delivered += 1
+                    delay_at(now)
+                    delays(delivered_at - created)
+                    # an offset that rounds up to measure_s belongs to the last bin
+                    thr[min(int(delivered_at - lo), last_bin)] += PACKET_BITS
+                if record:
+                    record_at(now)
+                    records(PacketRecord(fap_id, created, delivered_at, False,
+                                         delivered_at - created))
+                if aimd:
+                    self.aimd_rate_bps = min(self.aimd_rate_bps + PACKET_BITS, self.demand_bps)
+
+        self.serving, self.arrival_at, self.departure_at = serving, arrival_at, departure_at
+        self.arrival_last = arrival_last
+        self.generated += generated
+        self.delivered += delivered
+        self.dropped += dropped
+        self.w_generated += w_generated
+        self.w_delivered += w_delivered
+        self.w_dropped += w_dropped
+
+
+def _merge(out: list, parts: list) -> None:
+    """Extend `out` by the FAPs' outputs in the time order of the events that
+    made them, equal times in FAP order, and empty the FAPs' buffers.
+
+    `parts` holds each FAP's (times, outputs) lists, in FAP order.
+    """
+    full = [p for p in parts if p[0]]
+    if len(full) == 1:
+        out.extend(full[0][1])
+    elif full:
+        times = list(chain.from_iterable(t for t, _ in full))
+        outputs = list(chain.from_iterable(v for _, v in full))
+        # sorted is stable, so equal times keep the FAPs' order
+        out.extend(map(outputs.__getitem__, sorted(range(len(times)), key=times.__getitem__)))
+    for times, outputs in full:
+        times.clear()
+        outputs.clear()
 
 
 def _queue(config: SimConfig, base: int, i: int) -> DropTailQueue:
@@ -275,11 +423,42 @@ def _tick_setting(config: SimConfig, trace: ScenarioTrace, plan, now: float):
     return fgw, config.baseline_tx_power_dbm, sched
 
 
+def _tick(config: SimConfig, trace: ScenarioTrace, plan, table, faps: list[_Fap],
+          now: float) -> None:
+    """Set positions, rates, scheduled queue limits and demand."""
+    channel = trace.channel
+    fgw, tx, sched = _tick_setting(config, trace, plan, now)
+    selected = []
+    for f in faps:
+        pos = f.trace.position_at(now)
+        d = max(math.dist(pos, fgw), 1e-3)
+        f.prop_s = d / SPEED_OF_LIGHT_MPS
+        snr = friis_snr_db(channel, tx, d)
+        if config.fading:
+            snr = rician_snr_sample(snr, channel.rician_k_db, f.fade_rng)
+        mcs = table.for_snr(snr)
+        selected.append(mcs)
+        f.rate_bps = mcs.fair_share_bps if mcs is not None else 0.0
+
+    phy_rates = [m.phy_rate_bps for m in selected if m is not None]
+    if config.channel_mode == "shared" and phy_rates:
+        cap = channel.mac_efficiency * max(phy_rates)
+        total = sum(f.rate_bps for f in faps)
+        if total > cap:
+            scale = cap / total
+            for f in faps:
+                f.rate_bps *= scale
+
+    for f in faps:
+        if sched is not None:
+            f.queue.limit = sched[f.trace.fap_id]
+        f.demand_bps = f.trace.demand.at(now)
+
+
 def simulate(
     trace: ScenarioTrace, config: SimConfig, plan: PlanSeries | None = None
 ) -> SimMetrics:
     """Run one seeded simulation of a scenario against its own MCS ladder."""
-    channel = trace.channel
     duration = config.bootstrap_s + config.measure_s
     if trace.duration_s + 1e-9 < duration:
         raise ValueError(
@@ -302,140 +481,22 @@ def simulate(
                     f"plan at t={p.t_s} s has FAPs {planned}, but the scenario has {ids}"
                 )
     table = trace.mcs_table()
-    faps = [_Fap(i, tf, config) for i, tf in enumerate(trace.faps)]
-    traffic = config.traffic
-    deterministic = config.service_mode == "deterministic"
-
-    # Entries are (t, seq, handler, fap); seq is unique, so ties never compare
-    # handlers or FAPs and equal times pop in the order they were pushed.
-    heap: list = []
-    seq = count()
-
-    def push(t: float, handler, f: _Fap) -> None:
-        heapq.heappush(heap, (t, next(seq), handler, f))
-
-    def schedule_arrival(f: _Fap, now: float) -> None:
-        """Push the next arrival after `now` of a source that has demand."""
-        if traffic == "poisson":
-            push(now + f.arr_rng.expovariate(f.demand_bps / PACKET_BITS), arrival, f)
-        elif traffic == "aimd":
-            push(now + PACKET_BITS / f.aimd_rate_bps, arrival, f)
-        else:
-            # Skip to the next on period until the packet fits in one or the run ends.
-            t = now + PACKET_BITS / f.trace.demand.at(now)
-            while t >= f.off_at:
-                if f.off_at >= duration:
-                    return
-                start = f.off_at + f.arr_rng.expovariate(2.0)
-                f.off_at = start + f.arr_rng.expovariate(2.0)
-                t = start + PACKET_BITS / f.trace.demand.at(start)
-            push(t, arrival, f)
-
     # One bin per started second of the window; the last may cover part of a second.
     thr_bins = [0.0] * math.ceil(config.measure_s)
-    last_bin = len(thr_bins) - 1
+    faps = [_Fap(i, tf, config, thr_bins) for i, tf in enumerate(trace.faps)]
     delay_samples: list[float] = []
     records: list[PacketRecord] = []
-    in_window_lo = config.bootstrap_s
-    record = config.record_packets
-
-    def note_drop(f: _Fap, created: float, now: float) -> None:
-        f.dropped += 1
-        if in_window_lo <= now < duration:
-            f.w_dropped += 1
-        if traffic == "aimd":
-            f.aimd_rate_bps = max(f.aimd_rate_bps * 0.5, PACKET_BITS)
-        if record:
-            records.append(PacketRecord(f.trace.fap_id, created, None, True, None))
-
-    def serve(f: _Fap, now: float) -> None:
-        """Start the next packet's service if the server is idle and the link is up."""
-        if f.serving is not None or f.rate_bps <= 0.0:
-            return
-        pkt, codel_drops = f.queue.pull(now)
-        for created in codel_drops:
-            note_drop(f, created, now)
-        if pkt is None:
-            return
-        f.serving = pkt
-        if deterministic:
-            st = PACKET_BITS / f.rate_bps
-        else:
-            st = f.srv_rng.expovariate(f.rate_bps / PACKET_BITS)
-        push(now + st, departure, f)
-
-    def tick(now: float) -> None:
-        fgw, tx, sched = _tick_setting(config, trace, plan, now)
-        selected = []
-        for f in faps:
-            pos = f.trace.position_at(now)
-            d = max(math.dist(pos, fgw), 1e-3)
-            f.prop_s = d / SPEED_OF_LIGHT_MPS
-            snr = friis_snr_db(channel, tx, d)
-            if config.fading:
-                snr = rician_snr_sample(snr, channel.rician_k_db, f.fade_rng)
-            mcs = table.for_snr(snr)
-            selected.append(mcs)
-            f.rate_bps = mcs.fair_share_bps if mcs is not None else 0.0
-
-        phy_rates = [m.phy_rate_bps for m in selected if m is not None]
-        if config.channel_mode == "shared" and phy_rates:
-            cap = channel.mac_efficiency * max(phy_rates)
-            total = sum(f.rate_bps for f in faps)
-            if total > cap:
-                scale = cap / total
-                for f in faps:
-                    f.rate_bps *= scale
-
-        for f in faps:
-            if sched is not None:
-                f.queue.limit = sched[f.trace.fap_id]
-            f.demand_bps = f.trace.demand.at(now)
-            serve(f, now)
-
-    def arrival(f: _Fap, now: float) -> None:
-        f.generated += 1
-        if in_window_lo <= now < duration:
-            f.w_generated += 1
-        in_system = len(f.queue.items) + (1 if f.serving is not None else 0)
-        if f.queue.admit(in_system):
-            f.queue.items.append(now)
-            serve(f, now)
-        else:
-            note_drop(f, now, now)
-        schedule_arrival(f, now)
-
-    def departure(f: _Fap, now: float) -> None:
-        created = f.serving
-        f.serving = None
-        delivered_at = now + f.prop_s
-        f.delivered += 1
-        if in_window_lo <= delivered_at < duration:
-            f.w_delivered += 1
-            delay_samples.append(delivered_at - created)
-            # an offset that rounds up to measure_s belongs to the last bin
-            thr_bins[min(int(delivered_at - in_window_lo), last_bin)] += PACKET_BITS
-        if record:
-            records.append(
-                PacketRecord(f.trace.fap_id, created, delivered_at, False, delivered_at - created)
-            )
-        if traffic == "aimd":
-            f.aimd_rate_bps = min(f.aimd_rate_bps + PACKET_BITS, f.demand_bps)
-        serve(f, now)
-
-    for f in faps:
-        if f.trace.demand.at(0.0) > 0.0:  # a silent source stays silent (see DemandProfile)
-            schedule_arrival(f, 0.0)
-    # A tick runs before the events due at its instant (see the module docstring).
     for tb in range(int(math.ceil(duration))):
-        tick(float(tb))
-        until = min(tb + 1.0, duration)
-        while heap and heap[0][0] < until:
-            now, _, handler, f = heapq.heappop(heap)
-            handler(f, now)
-    # Break the handlers' reference cycles so the run's records are freed on return.
-    heap.clear()
-    del arrival, departure
+        now, end = float(tb), min(tb + 1.0, duration)
+        _tick(config, trace, plan, table, faps, now)
+        tick = True
+        while now < end:
+            until = min(now + _MERGE_EVERY_S, end)
+            for f in faps:
+                f.run(now, until, tick)
+            _merge(delay_samples, [(f.delay_at, f.delays) for f in faps])
+            _merge(records, [(f.record_at, f.records) for f in faps])
+            now, tick = until, False
 
     return SimMetrics(
         label=f"{config.placement}-{config.queue}",

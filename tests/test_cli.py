@@ -7,6 +7,7 @@ formats, and exit codes are exercised exactly as a shell user sees them.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import shutil
@@ -18,11 +19,13 @@ from gpqm import (
     PlannerConfig,
     PsoParams,
     SimConfig,
+    SimMetrics,
     cli,
     load_scenario,
     reference_fair_share_bps,
 )
 from gpqm.scenario import DEFAULT_PLANNING_PERIOD_S
+from gpqm.simulator import PacketRecord
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,38 @@ def test_simulate_run_layout(pipeline):
         assert set(pk[0]) == {"source_id", "created_s", "delay_s", "dropped"}
     pooled = json.loads((pipeline["gpqm"] / "pooled" / "summary.json").read_text())
     assert pooled["window_delivered"] > 0
+
+
+def test_streamed_csvs_match_csv_writer(tmp_path):
+    # FAP ids that csv must quote, floats whose repr is short or exponent-form,
+    # and a dropped packet's empty delay field.
+    ids = ['a,"b c', "plain", "two\nlines", ""]
+    delays = (1e-05, 0.1, 1.0 / 3.0, 2.5e-07, 1e16)
+    packets = (
+        PacketRecord(ids[0], 0.5, 0.50001, False, 1e-05),
+        PacketRecord(ids[1], 1e-05, None, True, None),
+        PacketRecord(ids[2], 0.25, 0.35, False, 0.1),
+        PacketRecord(ids[3], 2.0, None, True, None),
+        PacketRecord(ids[0], 1.0 / 3.0, None, True, None),
+    )
+    metrics = SimMetrics(
+        label="x", seed=1, bootstrap_s=0.0, measure_s=1.0, throughput_samples_bps=(0.0,),
+        delay_samples_s=delays, generated=5, delivered=2, dropped=3, residual=0,
+        window_generated=5, window_delivered=2, window_dropped=3,
+        per_fap_goodput_bps=dict.fromkeys(ids, 0.0), packets=packets)
+    cli._write_metrics(tmp_path, metrics, True)
+
+    def written(rows) -> bytes:
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(rows)
+        return buf.getvalue().encode()
+
+    assert (tmp_path / "delays.csv").read_bytes() == written(
+        [["delay_s"], *([v] for v in delays)])
+    assert (tmp_path / "packets.csv").read_bytes() == written(
+        [["source_id", "created_s", "delay_s", "dropped"]]
+        + [[p.fap_id, p.created_s, "" if p.delay_s is None else p.delay_s, int(p.dropped)]
+           for p in packets])
 
 
 def test_baseline_needs_no_plan(pipeline):

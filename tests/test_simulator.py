@@ -526,3 +526,29 @@ def test_golden_outputs(golden_inputs, cell):
     rows = [(p.fap_id, p.created_s, p.delivered_s, p.dropped, p.delay_s) for p in m.packets]
     digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
     assert digest == GOLDEN_SHA256[cell]
+
+
+# Three identical static FAPs equidistant from the venue centre, fading off and
+# deterministic service: their events keep falling at equal times. AIMD has
+# 110 846 pairs of equal-time events of different FAPs in this window, on/off
+# fewer. These pin the rule that outputs at one instant are recorded in FAP
+# order. The hashes were computed with a global event heap, which ran two of
+# the on/off pairs out of FAP order without changing any output.
+TIE_SHA256 = {
+    "aimd": "e29fead9d63e88ce76597f8bfac0383cec6de41663f95682e98646c955e1b366",
+    "onoff": "9f1f0b16b692cd209fe938911c75c6c4120fdd3af6f4e8f9041f0d039cfc3f49",
+}
+
+
+@pytest.mark.parametrize("traffic", sorted(TIE_SHA256))
+def test_golden_cross_fap_ties(traffic):
+    positions = [(70.0, 50.0, 10.0), (30.0, 50.0, 10.0), (50.0, 70.0, 10.0)]
+    trace = static_trace(1.2 * 0.8 * 526.5e6 / 3.0, 3.0, n_faps=3, positions=positions)
+    cfg = SimConfig(bootstrap_s=0.5, measure_s=2.5, seed=3, placement="venue-center",
+                    queue="droptail", queue_size=6, traffic=traffic, fading=False,
+                    service_mode="deterministic", record_packets=True)
+    m = simulate(trace, cfg)
+    # the digest of test_golden_outputs
+    rows = [(p.fap_id, p.created_s, p.delivered_s, p.dropped, p.delay_s) for p in m.packets]
+    digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
+    assert digest == TIE_SHA256[traffic]
