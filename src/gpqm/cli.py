@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import shutil
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -195,9 +196,13 @@ def _csv_prefix(field: str) -> str:
     return buf.getvalue().removesuffix("\r\n")
 
 
-def _write_metrics(out_dir: Path, metrics, write_packets: bool) -> None:
+def _write_metrics(out_dir: Path, metrics, write_packets: bool, delay_parts=()) -> None:
     """Write a run's CSVs and summary. The per-packet files are streamed row by
-    row as csv.writer would write them: floats by repr, CRLF line ends."""
+    row as csv.writer would write them: floats by repr, CRLF line ends.
+
+    Given `delay_parts`, the delays.csv files whose samples `metrics` pools in
+    their order, the rows are copied from them rather than formatted again.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "throughput.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -206,7 +211,13 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool) -> None:
             w.writerow([metrics.bootstrap_s + i, v])
     with (out_dir / "delays.csv").open("w", newline="") as fh:
         csv.writer(fh).writerow(DELAY_HEADER)
-        fh.writelines(f"{v!r}\r\n" for v in metrics.delay_samples_s)
+        if delay_parts:
+            for part in delay_parts:
+                with part.open(newline="") as src:
+                    src.readline()  # its header
+                    shutil.copyfileobj(src, fh)
+        else:
+            fh.writelines(f"{v!r}\r\n" for v in metrics.delay_samples_s)
     if write_packets:
         with (out_dir / "packets.csv").open("w", newline="") as fh:
             csv.writer(fh).writerow(["source_id", "created_s", "delay_s", "dropped"])
@@ -266,7 +277,8 @@ def _cmd_simulate(args) -> int:
             f"plr {metrics.plr:.4f}"
         )
     if len(runs) > 1:
-        _write_metrics(out_root / "pooled", merge_metrics(runs), False)
+        _write_metrics(out_root / "pooled", merge_metrics(runs), False,
+                       [out_root / f"seed{m.seed}" / "delays.csv" for m in runs])
     print(f"wrote metrics -> {out_root}")
     return EXIT_OK
 

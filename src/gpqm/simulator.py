@@ -29,6 +29,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from math import log
 from typing import NamedTuple
 
 from .channel import SPEED_OF_LIGHT_MPS, friis_snr_db, rician_snr_sample
@@ -269,7 +270,10 @@ class _Fap:
         self.w_generated = self.w_delivered = self.w_dropped = 0
 
     def next_arrival(self, now: float) -> float:
-        """Time of the source's next packet after `now` (inf if it sends no more)."""
+        """Time of the source's next packet after `now` (inf if it sends no more).
+
+        `run` draws Poisson's and AIMD's inline, by the same formulas.
+        """
         traffic = self.config.traffic
         if traffic == "poisson":
             return now + self.arr_rng.expovariate(self.demand_bps / PACKET_BITS)
@@ -286,72 +290,96 @@ class _Fap:
             t = start + PACKET_BITS / demand.at(start)
         return t
 
+    def drop(self, now: float, created: float) -> None:
+        """Count a packet dropped at `now`; AIMD backs off."""
+        cfg = self.config
+        self.dropped += 1
+        if cfg.bootstrap_s <= now < cfg.bootstrap_s + cfg.measure_s:
+            self.w_dropped += 1
+        if cfg.traffic == "aimd":
+            self.aimd_rate_bps = max(self.aimd_rate_bps * 0.5, PACKET_BITS)
+        if cfg.record_packets:
+            self.record_at.append(now)
+            self.records.append(PacketRecord(self.trace.fap_id, created, None, True, None))
+
+    def pull(self, now: float) -> float | None:
+        """The queue's next packet, dropping what the queue discards on the way."""
+        pkt, drops = self.queue.pull(now)
+        for created in drops:
+            self.drop(now, created)
+        return pkt
+
     def run(self, now: float, until: float, tick: bool) -> None:
         """Run the events due from `now` to before `until`, first serving an
         idle link if `now` is a tick.
 
-        An arrival joins the queue or is dropped, the server starts if it is
-        idle, then the source schedules its next packet; a departure delivers
-        its packet, then the server takes the next one.
+        An arrival is counted, then joins the queue or is dropped, starts the
+        server if it is idle, then the source schedules its next packet; a
+        departure delivers its packet, then the server takes the next one.
         """
         cfg = self.config
         lo, hi = cfg.bootstrap_s, cfg.bootstrap_s + cfg.measure_s
-        aimd = cfg.traffic == "aimd"
+        traffic = cfg.traffic
+        poisson, aimd = traffic == "poisson", traffic == "aimd"
+        lam = self.demand_bps / PACKET_BITS  # Poisson's packets per second
+        arr_random = self.arr_rng.random
+        next_arrival = self.next_arrival
         record = cfg.record_packets
         fap_id = self.trace.fap_id
         queue = self.queue
-        items, admit, pull = queue.items, queue.admit, queue.pull
-        next_arrival = self.next_arrival
+        # Drop-tail queues (static and scheduled) admit and pull here; RED and CoDel by hook.
+        plain = type(queue) is DropTailQueue
+        items, limit, admit, pull = queue.items, queue.limit, queue.admit, self.pull
+        drop = self.drop
         thr = self.thr_bins
         last_bin = len(thr) - 1
         delay_at, delays = self.delay_at.append, self.delays.append
         record_at, records = self.record_at.append, self.records.append
         rate, prop = self.rate_bps, self.prop_s
         st = PACKET_BITS / rate if rate > 0.0 else math.inf
-        srv_expo = None if cfg.service_mode == "deterministic" else self.srv_rng.expovariate
+        mu = rate / PACKET_BITS  # exponential service's packets per second
+        srv_random = None if cfg.service_mode == "deterministic" else self.srv_rng.random
         serving, arrival_at, departure_at = self.serving, self.arrival_at, self.departure_at
         arrival_last = self.arrival_last
-        generated = delivered = dropped = w_generated = w_delivered = w_dropped = 0
+        generated = delivered = w_generated = w_delivered = 0
 
-        serve, arrival, drops = tick, False, ()
+        if tick and serving is None and rate > 0.0:
+            serving = pull(now)
+            if serving is not None:
+                departure_at = (now + st if srv_random is None
+                                else now - log(1.0 - srv_random()) / mu)
+                arrival_last = False
         while True:
-            if serve and serving is None and rate > 0.0:
-                serving, drops = pull(now)
-                if serving is not None:
-                    departure_at = now + (st if srv_expo is None else srv_expo(rate / PACKET_BITS))
-                    arrival_last = False
-            for created in drops:
-                dropped += 1
-                if lo <= now < hi:
-                    w_dropped += 1
-                if aimd:
-                    self.aimd_rate_bps = max(self.aimd_rate_bps * 0.5, PACKET_BITS)
-                if record:
-                    record_at(now)
-                    records(PacketRecord(fap_id, created, None, True, None))
-            if arrival:
-                arrival_at = next_arrival(now)
-                arrival_last = True
-
             if arrival_at < departure_at or (arrival_at == departure_at and not arrival_last):
                 now = arrival_at
                 if now >= until:
                     break
-                arrival = True
                 generated += 1
                 if lo <= now < hi:
                     w_generated += 1
-                serve = admit(len(items) + (serving is not None))
-                if serve:
+                in_system = len(items) + (serving is not None)
+                if in_system < limit if plain else admit(in_system):
                     items.append(now)
-                    drops = ()
+                    if serving is None and rate > 0.0:
+                        serving = items.popleft() if plain else pull(now)
+                        if serving is not None:
+                            departure_at = (now + st if srv_random is None
+                                            else now - log(1.0 - srv_random()) / mu)
+                            arrival_last = False
                 else:
-                    drops = (now,)
+                    drop(now, now)
+                # Random.expovariate's own formula, inline: the same floats
+                if poisson:
+                    arrival_at = now - log(1.0 - arr_random()) / lam
+                elif aimd:
+                    arrival_at = now + PACKET_BITS / self.aimd_rate_bps
+                else:
+                    arrival_at = next_arrival(now)
+                arrival_last = True
             else:
                 now = departure_at
                 if now >= until:
                     break
-                serve, arrival, drops = True, False, ()
                 created, serving, departure_at = serving, None, math.inf
                 delivered_at = now + prop
                 delivered += 1
@@ -367,15 +395,19 @@ class _Fap:
                                          delivered_at - created))
                 if aimd:
                     self.aimd_rate_bps = min(self.aimd_rate_bps + PACKET_BITS, self.demand_bps)
+                if rate > 0.0:
+                    serving = (items.popleft() if items else None) if plain else pull(now)
+                    if serving is not None:
+                        departure_at = (now + st if srv_random is None
+                                        else now - log(1.0 - srv_random()) / mu)
+                        arrival_last = False
 
         self.serving, self.arrival_at, self.departure_at = serving, arrival_at, departure_at
         self.arrival_last = arrival_last
         self.generated += generated
         self.delivered += delivered
-        self.dropped += dropped
         self.w_generated += w_generated
         self.w_delivered += w_delivered
-        self.w_dropped += w_dropped
 
 
 def _merge(out: list, parts: list) -> None:

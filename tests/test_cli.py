@@ -11,6 +11,7 @@ import io
 import json
 import math
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,9 @@ from gpqm import (
     SimMetrics,
     cli,
     load_scenario,
+    merge_metrics,
     reference_fair_share_bps,
+    simulate,
 )
 from gpqm.scenario import DEFAULT_PLANNING_PERIOD_S
 from gpqm.simulator import PacketRecord
@@ -188,6 +191,27 @@ def test_streamed_csvs_match_csv_writer(tmp_path):
         [["source_id", "created_s", "delay_s", "dropped"]]
         + [[p.fap_id, p.created_s, "" if p.delay_s is None else p.delay_s, int(p.dropped)]
            for p in packets])
+
+
+def test_pooled_delays_are_the_pooled_samples_written_afresh(tmp_path):
+    # The pooled delays.csv copies the seed files' rows; it must hold exactly
+    # what formatting the pooled samples would write.
+    scenario, metrics = tmp_path / "s.json", tmp_path / "m"
+    assert cli.main([
+        "generate", "--faps", "2", "--duration", "4", "--seed", "6", "--out", str(scenario),
+    ]) == 0
+    assert cli.main([
+        "simulate", "--scenario", str(scenario), "--policy", "venue-center", "--runs", "3",
+        "--seed", "4", "--bootstrap", "1", "--measure", "1.5", "--out", str(metrics),
+    ]) == 0
+    trace = load_scenario(scenario)
+    config = SimConfig(bootstrap_s=1.0, measure_s=1.5, placement="venue-center",
+                       queue="droptail")
+    runs = [simulate(trace, replace(config, seed=seed)) for seed in (4, 5, 6)]
+    cli._write_metrics(tmp_path / "fresh", merge_metrics(runs), False)
+    pooled = (metrics / "pooled" / "delays.csv").read_bytes()
+    assert pooled.count(b"\r\n") > 3
+    assert pooled == (tmp_path / "fresh" / "delays.csv").read_bytes()
 
 
 def test_baseline_needs_no_plan(pipeline):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import random
 import statistics
 from dataclasses import replace
 
@@ -189,6 +190,21 @@ def test_determinism_bit_identical():
     a = run_single(80e6, **kw)
     b = run_single(80e6, **kw)
     assert a == b
+
+
+def test_inline_poisson_gap_is_expovariate():
+    # The engine draws Poisson gaps and exponential service times inline as
+    # now - log(1 - random()) / lam, Random.expovariate's formula written out,
+    # so the floats match bit for bit. Should an interpreter change
+    # expovariate, this test names the cause where only golden hashes would fail.
+    for seed in (0, 1, 7, 12345):
+        for lam in (0.5, 8.0, 1785.7, 37607.1, 1e6):
+            inline, ref = random.Random(seed), random.Random(seed)
+            now = 0.25
+            for _ in range(200):
+                at = now - math.log(1.0 - inline.random()) / lam
+                assert at == now + ref.expovariate(lam)
+                now = at
 
 
 def test_run_leaves_no_reference_cycles():
@@ -552,3 +568,80 @@ def test_golden_cross_fap_ties(traffic):
     rows = [(p.fap_id, p.created_s, p.delivered_s, p.dropped, p.delay_s) for p in m.packets]
     digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
     assert digest == TIE_SHA256[traffic]
+
+
+# Two static FAPs under gpqm placement whose plan drops the power to -60 dBm,
+# where no MCS is reachable, for [1, 2) s and restores 20 dBm at 2 s. Packets
+# queue at a link whose rate is 0, and the tick at 2 s serves the idle link
+# with packets waiting, a path no cell above reaches. The hashes were computed
+# before the engine did each event's work in its own branch.
+OUTAGE_CELLS = [
+    (queue, traffic, service)
+    for queue in ("scheduled", "droptail", "red", "codel")
+    for traffic in ("poisson", "onoff", "aimd")
+    for service in ("deterministic", "exponential")
+]
+
+OUTAGE_SHA256 = {
+    "codel-aimd-deterministic": "438cfce17c7177281a287bf88faf02e953b8510e9c68479e7f5a93ec3da91863",
+    "codel-aimd-exponential": "a3105544f0ad4ca600dc7789cbd3a4ae2840684a635c063f0876357093475b97",
+    "codel-onoff-deterministic":
+        "a3e19798b6f2cef41a9c03038060fcb1e03474f7a9b5c21034f7fbbedd300929",
+    "codel-onoff-exponential": "ffccade9cdec4d282162285b5849ba307c32de0c1bfe06d5e254d55bfb758976",
+    "codel-poisson-deterministic":
+        "a5c2724cb83e391a5a8f177faeded8d96eeea49bc93bbe545fd66f862fd8d067",
+    "codel-poisson-exponential":
+        "2d1ceb836fc9271a06c7a9cde1b2943d138679a9b37a43a6505a7b0a43464f66",
+    "droptail-aimd-deterministic":
+        "6f96556ac36b5ea51135a71603552e98e338292a38da606db8bb23addf9a7748",
+    "droptail-aimd-exponential":
+        "6040ab6c9ef8cc2683c82ea9ae08ed8a386c6998e7e8f8e347d311cccbdf01a3",
+    "droptail-onoff-deterministic":
+        "e44b0673a7319c9baf7e2a4287c7c0ba60db9a4541b0c285df240b2d33d197c5",
+    "droptail-onoff-exponential":
+        "5a2943b84432502c1c87de84dc09f8c3ead8291dfaecf342517a2101919195a7",
+    "droptail-poisson-deterministic":
+        "16e702c52e106b9e9efd81b69f5e6fc0a44f20fa86bc0a88aa2c3702aaa8c448",
+    "droptail-poisson-exponential":
+        "cc0a8a6d3d289eb29d464473b288f2eb2f33247d1219fe39ac1992603c63b1fd",
+    "red-aimd-deterministic": "f04db6d6c250700798ecb0fcfba351c82b3d237b879c21c4a6f98ac4943105e0",
+    "red-aimd-exponential": "d336536e7ccb7c397813d6ca8e0b64f2bb33f9d9b04422b379ad35242c2459bf",
+    "red-onoff-deterministic": "2256b98aa5cac46e790490c3ce4c98f2c58d77526539089dfe8334b9f660cd3d",
+    "red-onoff-exponential": "fd3452114358a9499a47dd53e1ea5f1e77c502421f6dcca817fb8811d034bb7c",
+    "red-poisson-deterministic":
+        "0934e0e06a49edb3186b9ba59344f824cadc088d7e701b7cbfe01e2de769afa2",
+    "red-poisson-exponential": "7291d1153c0970ec9fbf87979431f70022764a239d6e839ab9ab40fa486870c0",
+    "scheduled-aimd-deterministic":
+        "d91308c0076170dfaf1fd22e8da8e1540422c3cfc9faf29bd25a647743553b9c",
+    "scheduled-aimd-exponential":
+        "b1358bf0c6c06e1258956c81039daec6c2cc8ede449f5bd08f94703be6e6935c",
+    "scheduled-onoff-deterministic":
+        "5c2831d4d8a281c91cbf14df9442771c13cf633ecc1769ec2701b8d535d9d18c",
+    "scheduled-onoff-exponential":
+        "8744907f89ecdd753c736bf7be761fdea92dd4620c5e69b4aa36ee14d2388c71",
+    "scheduled-poisson-deterministic":
+        "863580836b26caab44a638cab03e714113e847b9804e7a3662bc338f4157e571",
+    "scheduled-poisson-exponential":
+        "d77b2df930fe489ab9053aba68a824d03ca4c306ba86b84389482fe33be493e2",
+}
+
+
+@pytest.fixture(scope="module")
+def outage_inputs() -> tuple[ScenarioTrace, PlanSeries]:
+    positions = [(30.0, 50.0, 10.0), (70.0, 50.0, 10.0)]
+    trace = static_trace(20e6, 3.0, n_faps=2, positions=positions)
+    first = replace(plan_series(trace, PlannerConfig()).plans[0], tx_power_dbm=20.0)
+    plans = (first, replace(first, t_s=1.0, tx_power_dbm=-60.0), replace(first, t_s=2.0))
+    return trace, PlanSeries(plans, 1.0)
+
+
+@pytest.mark.parametrize("queue,traffic,service", OUTAGE_CELLS)
+def test_golden_outage(outage_inputs, queue, traffic, service):
+    trace, plan = outage_inputs
+    cfg = SimConfig(bootstrap_s=0.5, measure_s=2.5, seed=5, queue=queue, queue_size=20,
+                    traffic=traffic, service_mode=service, record_packets=True)
+    m = simulate(trace, cfg, plan=plan)
+    # the digest of test_golden_outputs
+    rows = [(p.fap_id, p.created_s, p.delivered_s, p.dropped, p.delay_s) for p in m.packets]
+    digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
+    assert digest == OUTAGE_SHA256[f"{queue}-{traffic}-{service}"]
