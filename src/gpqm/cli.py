@@ -15,6 +15,7 @@ import json
 import math
 import shutil
 import sys
+from bisect import bisect_right
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -44,8 +45,8 @@ from .simulator import (
     TRAFFIC_MODELS,
     SimConfig,
     merge_metrics,
+    percentile,
     simulate,
-    summarize,
 )
 from .solver import PsoParams, run_benchmark
 
@@ -131,7 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ac = asub.add_parser("cdf", help="CDF/CCDF tables and percentiles from run dirs")
     ac.add_argument("--metrics", action="append", required=True,
                     help="run directory written by simulate; repeat to pool")
-    ac.add_argument("--percentile", type=float, default=PERCENTILE)
     ac.add_argument("--out", required=True, help="result JSON path")
     ac.set_defaults(run=_cmd_analyze_cdf)
 
@@ -207,8 +207,10 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool, delay_parts=()) 
     with (out_dir / "throughput.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(THROUGHPUT_HEADER)
+        # pooled runs follow one another, each labelled over the same window
+        per_run = math.ceil(metrics.measure_s)
         for i, v in enumerate(metrics.throughput_samples_bps):
-            w.writerow([metrics.bootstrap_s + i, v])
+            w.writerow([metrics.bootstrap_s + i % per_run, v])
     with (out_dir / "delays.csv").open("w", newline="") as fh:
         csv.writer(fh).writerow(DELAY_HEADER)
         if delay_parts:
@@ -380,33 +382,31 @@ def _cmd_analyze_cdf(args) -> int:
         run = _resolve_run_dir(Path(d))
         throughputs += _read_column(run / "throughput.csv", THROUGHPUT_HEADER)
         delays += _read_column(run / "delays.csv", DELAY_HEADER)
-    p = args.percentile
-    thr = summarize(throughputs)
+    throughputs.sort()
+    delays.sort()
     payload = {
-        "percentile": p,
+        "percentile": PERCENTILE,
         "throughput": {
-            "p_exceeded_bps": thr.percentile(100.0 - p),
-            "ccdf": [[x, thr.ccdf(x)] for x in _grid(throughputs)],
+            "p_exceeded_bps": percentile(throughputs, 100.0 - PERCENTILE),
+            "ccdf": [(x, 1.0 - cdf) for x, cdf in _cdf_points(throughputs)],
         },
     }
     if delays:
-        dl = summarize(delays)
         payload["delay"] = {
-            "p_value_s": dl.percentile(p),
-            "cdf": [[x, dl.cdf(x)] for x in _grid(delays)],
+            "p_value_s": percentile(delays, PERCENTILE),
+            "cdf": _cdf_points(delays),
         }
     Path(args.out).write_text(json.dumps(payload, indent=2))
     print(f"wrote analysis -> {args.out}")
     return EXIT_OK
 
 
-def _grid(samples: list[float]) -> list[float]:
-    """50 evenly spaced points from the smallest to the largest sample."""
-    lo = min(samples)
-    hi = max(samples)
-    if hi <= lo:
-        return [lo]
-    return [lo + (hi - lo) * i / 49 for i in range(50)]
+def _cdf_points(ordered: list[float]) -> list[tuple[float, float]]:
+    """The empirical CDF of sorted samples at 50 evenly spaced points from the
+    smallest to the largest sample."""
+    lo, hi = ordered[0], ordered[-1]
+    grid = [lo] if hi <= lo else [lo + (hi - lo) * i / 49 for i in range(50)]
+    return [(x, bisect_right(ordered, x) / len(ordered)) for x in grid]
 
 
 def main(argv=None) -> int:

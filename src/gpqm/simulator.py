@@ -23,7 +23,6 @@ instant are recorded in FAP order.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from collections import deque
@@ -52,7 +51,8 @@ QUEUES = ("scheduled", "droptail", "red", "codel")
 TRAFFIC_MODELS = ("poisson", "onoff", "aimd")
 CHANNEL_MODES = ("independent", "shared")
 SERVICE_MODES = ("deterministic", "exponential")
-# The percentile that SimMetrics.percentiles and compare report.
+# The percentile every report gives: SimMetrics.percentiles (and so
+# summary.json and the benchmark CSV) and `gpqm analyze cdf`.
 PERCENTILE = 90.0
 
 
@@ -131,8 +131,8 @@ class SimMetrics:
         throughput is the value exceeded in PERCENTILE % of seconds.
         """
         delays = self.delay_samples_s
-        delay = summarize(delays).percentile(PERCENTILE) if delays else math.inf
-        return delay, summarize(self.throughput_samples_bps).percentile(100.0 - PERCENTILE)
+        delay = percentile(delays, PERCENTILE) if delays else math.inf
+        return delay, percentile(self.throughput_samples_bps, 100.0 - PERCENTILE)
 
 
 # --- queue disciplines ----------------------------------------------------
@@ -555,33 +555,14 @@ def simulate(
 # --- metrics --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistributionSummary:
-    """Empirical distribution with nearest-rank percentiles."""
-
-    samples: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.samples:
-            raise ValueError("cannot summarise an empty sample set")
-        object.__setattr__(self, "samples", tuple(sorted(self.samples)))
-
-    def cdf(self, x: float) -> float:
-        return bisect.bisect_right(self.samples, x) / len(self.samples)
-
-    def ccdf(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
-
-    def percentile(self, p: float) -> float:
-        if not 0.0 <= p <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        n = len(self.samples)
-        rank = max(1, math.ceil(p / 100.0 * n))
-        return self.samples[rank - 1]
-
-
-def summarize(samples) -> DistributionSummary:
-    return DistributionSummary(tuple(samples))
+def percentile(samples, p: float) -> float:
+    """Nearest-rank percentile: the max(1, ceil(p/100 * n))-th of the n samples in order."""
+    if not 0.0 <= p <= 100.0:
+        raise ValueError("percentile must be in [0, 100]")
+    ordered = sorted(samples)
+    if not ordered:
+        raise ValueError("no samples to take a percentile of")
+    return ordered[max(1, math.ceil(p / 100.0 * len(ordered))) - 1]
 
 
 def merge_metrics(runs: list[SimMetrics]) -> SimMetrics:
@@ -616,44 +597,3 @@ def merge_metrics(runs: list[SimMetrics]) -> SimMetrics:
         window_dropped=sum(m.window_dropped for m in runs),
         per_fap_goodput_bps=goodput,
     )
-
-
-def compare(runs: list[SimMetrics], baseline: str) -> dict:
-    """Percentile throughput and delay per label, with deltas vs a baseline.
-
-    Delay uses the PERCENTILE-th percentile of the delay distribution;
-    throughput the value exceeded by PERCENTILE% of per-second samples (the
-    complementary view).
-    """
-    if not runs:
-        raise ValueError("nothing to compare")
-    windows = {(m.bootstrap_s, m.measure_s) for m in runs}
-    if len(windows) != 1:
-        raise ValueError("compared runs must share the measurement window")
-    labels = [m.label for m in runs]
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be unique")
-    if baseline not in labels:
-        raise ValueError(f"baseline {baseline!r} not among {labels}")
-
-    rows: dict[str, dict] = {}
-    for m in runs:
-        delay_p, thr_p = m.percentiles()
-        rows[m.label] = {
-            "p_delay_s": delay_p,
-            "p_throughput_bps": thr_p,
-            "plr": m.plr,
-        }
-    base = rows[baseline]
-    for label, row in rows.items():
-        row["delay_vs_baseline"] = (
-            (row["p_delay_s"] - base["p_delay_s"]) / base["p_delay_s"]
-            if base["p_delay_s"] > 0
-            else 0.0
-        )
-        row["throughput_vs_baseline"] = (
-            (row["p_throughput_bps"] - base["p_throughput_bps"]) / base["p_throughput_bps"]
-            if base["p_throughput_bps"] > 0
-            else 0.0
-        )
-    return {"percentile": PERCENTILE, "baseline": baseline, "results": rows}

@@ -44,9 +44,9 @@ from gpqm import (
     reference_fair_share_bps,
     simulate,
     solve_pso,
-    summarize,
 )
 from gpqm.queueing import DEFAULT_PACKET_SIZE_BYTES
+from test_solver import shannon_grid_optimum
 
 CH = ChannelParams()
 VENUE = Venue()
@@ -192,13 +192,10 @@ def test_ac4_beats_static_baseline_on_congested_scenarios():
             SimConfig(bootstrap_s=10.0, measure_s=45.0, seed=1,
                       placement="centroid", queue="droptail", queue_size=100),
         )
-        if (
-            summarize(gpqm.delay_samples_s).percentile(90.0)
-            < summarize(base.delay_samples_s).percentile(90.0)
-        ):
+        gpqm_delay, gpqm_thr = gpqm.percentiles()
+        base_delay, base_thr = base.percentiles()
+        if gpqm_delay < base_delay:
             delay_wins += 1
-        gpqm_thr = summarize(gpqm.throughput_samples_bps).percentile(10.0)
-        base_thr = summarize(base.throughput_samples_bps).percentile(10.0)
         assert gpqm_thr >= 0.98 * base_thr
     assert delay_wins >= 4
     assert time.monotonic() - t0 < 300.0
@@ -252,31 +249,6 @@ def test_ac5_planner_invariants_on_random_instances():
     assert time.monotonic() - t0 < 120.0
 
 
-def _shannon_grid_optimum(problem: OptProblem, step_m: float = 0.5) -> float:
-    fap = problem.snapshot.faps[0]
-    h = problem.delay_threshold_s
-    bits = 8.0 * DEFAULT_PACKET_SIZE_BYTES
-    a = h * fap.demand_bps + bits
-    floor = (a + math.sqrt(a * a - 2.0 * h * bits * fap.demand_bps)) / (2.0 * h)
-    need = max(fap.demand_bps, floor)
-    v = problem.venue
-    xs = np.arange(0.0, v.x_max_m + 1e-9, step_m)
-    ys = np.arange(0.0, v.y_max_m + 1e-9, step_m)
-    zs = np.arange(v.min_altitude_m, v.z_max_m + 1e-9, step_m)
-    d = np.sqrt(
-        ((xs - fap.position[0]) ** 2)[:, None, None]
-        + ((ys - fap.position[1]) ** 2)[None, :, None]
-        + ((zs - fap.position[2]) ** 2)[None, None, :]
-    )
-    snr_floor = 38.155041745832165 - 20.0 * np.log10(np.maximum(d, 1e-6))
-    b = problem.channel.bandwidth_hz
-    cap_lo = b * np.log2(1.0 + 10.0 ** (snr_floor / 10.0))
-    cap_hi = b * np.log2(1.0 + 10.0 ** ((snr_floor + problem.channel.max_tx_power_dbm) / 10.0))
-    objective = np.maximum(cap_lo, need)
-    objective[(cap_hi < need) | (d < v.min_separation_m)] = np.inf
-    return float(objective.min())
-
-
 @pytest.mark.slow
 def test_ac6_solver_benchmark_directional():
     from gpqm import run_benchmark
@@ -304,7 +276,7 @@ def test_ac6_solver_benchmark_directional():
             snapshot=Snapshot(0.0, (FapState("f0", fap_pos, demand),)),
             channel=CH, venue=VENUE, capacity_model="shannon",
         )
-        oracle = _shannon_grid_optimum(problem)
+        oracle = shannon_grid_optimum(problem)
         res = solve_pso(problem, seed=11)
         assert res.feasible
         assert abs(res.objective_bps - oracle) <= 0.05 * oracle

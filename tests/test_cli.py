@@ -24,6 +24,7 @@ from gpqm import (
     cli,
     load_scenario,
     merge_metrics,
+    percentile,
     reference_fair_share_bps,
     simulate,
 )
@@ -214,6 +215,20 @@ def test_pooled_delays_are_the_pooled_samples_written_afresh(tmp_path):
     assert pooled == (tmp_path / "fresh" / "delays.csv").read_bytes()
 
 
+def _column(path: Path, name: str) -> list[str]:
+    with path.open(newline="") as fh:
+        return [row[name] for row in csv.DictReader(fh)]
+
+
+def test_pooled_throughput_labels_each_run_over_its_window(pipeline):
+    # The pooled rows are the seed files' rows in seed order, each labelled
+    # with the start of its second in the window, not counted on past it.
+    root = pipeline["gpqm"]
+    for name in ("t_s", "throughput_bps"):
+        seeds = [_column(root / f"seed{s}" / "throughput.csv", name) for s in (1, 2)]
+        assert _column(root / "pooled" / "throughput.csv", name) == seeds[0] + seeds[1]
+
+
 def test_baseline_needs_no_plan(pipeline):
     summary = json.loads((pipeline["baseline"] / "seed1" / "summary.json").read_text())
     assert summary["label"] == "venue-center-droptail"
@@ -231,6 +246,25 @@ def test_cdf_payload(pipeline):
     assert doc["delay"]["p_value_s"] > 0.0
 
 
+def test_cdf_points_are_shares_of_the_pooled_rows(pipeline):
+    # The payload pools seed1 and seed2, whose rows pooled/ holds.
+    doc = json.loads(pipeline["cdf"].read_text())
+    pooled = pipeline["gpqm"] / "pooled"
+    delays = [float(v) for v in _column(pooled / "delays.csv", "delay_s")]
+    thr = [float(v) for v in _column(pooled / "throughput.csv", "throughput_bps")]
+
+    def share_at_most(samples: list[float], x: float) -> float:
+        return sum(v <= x for v in samples) / len(samples)
+
+    assert len(doc["delay"]["cdf"]) == len(doc["throughput"]["ccdf"]) == 50
+    for x, cdf in doc["delay"]["cdf"]:
+        assert cdf == share_at_most(delays, x)
+    for x, ccdf in doc["throughput"]["ccdf"]:
+        assert ccdf == 1.0 - share_at_most(thr, x)
+    assert doc["delay"]["p_value_s"] == percentile(delays, 90.0)
+    assert doc["throughput"]["p_exceeded_bps"] == percentile(thr, 10.0)
+
+
 @pytest.mark.parametrize(
     "file, edit, named",
     [
@@ -239,8 +273,10 @@ def test_cdf_payload(pipeline):
          "throughput.csv line 3: expected 2 fields"),
         ("delays.csv", lambda rows: rows.__setitem__(0, "delay"),
          "delays.csv line 1: header must be delay_s"),
+        ("throughput.csv", lambda rows: rows.__delitem__(slice(1, None)),
+         "no samples to take a percentile of"),
     ],
-    ids=["nan-row", "short-row", "renamed-header"],
+    ids=["nan-row", "short-row", "renamed-header", "no-rows"],
 )
 def test_cdf_names_the_file_and_line_of_a_bad_row(pipeline, tmp_path, capsys, file, edit, named):
     run = tmp_path / "run"

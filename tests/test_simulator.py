@@ -28,14 +28,13 @@ from gpqm import (
     ScenarioTrace,
     SimConfig,
     Venue,
-    compare,
     generate_rwm,
     md1_delay_s,
     merge_metrics,
     mm1q_plr,
+    percentile,
     plan_series,
     simulate,
-    summarize,
 )
 
 CH = ChannelParams()
@@ -303,8 +302,8 @@ def test_codel_tames_greedy_sender_delay():
     codel = run_single(demand, queue="codel", **kw)
     tail = run_single(demand, queue="droptail", queue_size=5000, **kw)
     assert codel.dropped > 0
-    p90_codel = summarize(codel.delay_samples_s).percentile(90.0)
-    p90_tail = summarize(tail.delay_samples_s).percentile(90.0)
+    p90_codel = percentile(codel.delay_samples_s, 90.0)
+    p90_tail = percentile(tail.delay_samples_s, 90.0)
     assert p90_codel < 0.25 * p90_tail
     assert p90_codel < 0.02
 
@@ -381,48 +380,27 @@ def test_config_validation():
         SimConfig(placement="fixed")
 
 
-# --- summaries and comparison ----------------------------------------------
+# --- percentiles and pooling ----------------------------------------------
 
 def test_nearest_rank_percentiles():
-    s = summarize([1.0, 2.0, 3.0, 4.0])
-    assert s.percentile(90.0) == 4.0
-    assert s.percentile(50.0) == 2.0
-    assert s.percentile(0.0) == 1.0
-    assert s.percentile(100.0) == 4.0
-
-
-def test_cdf_ccdf_complementary():
-    s = summarize([0.5, 1.0, 1.5, 2.0, 5.0])
-    for x in (0.4, 0.5, 1.2, 5.0, 9.0):
-        assert s.cdf(x) + s.ccdf(x) == pytest.approx(1.0)
-    assert s.cdf(0.4) == 0.0
-    assert s.cdf(5.0) == 1.0
+    samples = [3.0, 1.0, 4.0, 2.0]
+    assert percentile(samples, 90.0) == 4.0
+    assert percentile(samples, 50.0) == 2.0
+    assert percentile(samples, 30.0) == 2.0  # rank ceil(1.2) = 2
+    assert percentile(samples, 0.0) == 1.0
+    assert percentile(samples, 100.0) == 4.0
+    assert percentile(iter(samples), 25.0) == 1.0
+    assert samples == [3.0, 1.0, 4.0, 2.0]
+    for p in (-0.1, 100.1, math.nan):
+        with pytest.raises(ValueError):
+            percentile(samples, p)
 
 
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
-        summarize([])
-
-
-def test_compare_identical_runs_zero_deltas():
-    a = replace(run_single(80e6, measure_s=6.0), label="a")
-    b = replace(run_single(80e6, measure_s=6.0), label="b")
-    table = compare([a, b], baseline="a")
-    rows = table["results"]
-    assert rows["b"]["delay_vs_baseline"] == pytest.approx(0.0)
-    assert rows["b"]["throughput_vs_baseline"] == pytest.approx(0.0)
-    assert len(rows) == 2
-    assert table["baseline"] == "a"
-
-
-def test_compare_rejects_mismatched_windows():
-    a = replace(run_single(80e6, measure_s=6.0), label="a")
-    b = replace(run_single(80e6, measure_s=8.0), label="b")
+        percentile([], 90.0)
     with pytest.raises(ValueError):
-        compare([a, b], baseline="a")
-    c = replace(run_single(80e6, measure_s=6.0), label="a")
-    with pytest.raises(ValueError):
-        compare([a, c], baseline="a")
+        percentile(iter(()), 50.0)
 
 
 def test_merge_pools_samples():
@@ -434,11 +412,22 @@ def test_merge_pools_samples():
     assert merged.window_dropped == a.window_dropped + b.window_dropped
 
 
+def test_merge_refuses_no_runs_and_mixed_windows_or_labels():
+    a = run_single(80e6, measure_s=6.0)
+    with pytest.raises(ValueError, match="no runs"):
+        merge_metrics([])
+    for other in (replace(a, measure_s=8.0), replace(a, bootstrap_s=3.0)):
+        with pytest.raises(ValueError, match="measurement windows"):
+            merge_metrics([a, other])
+    with pytest.raises(ValueError, match="labels"):
+        merge_metrics([a, replace(a, label="other")])
+
+
 def test_percentiles_pair_delay_and_throughput():
     m = run_single(80e6, measure_s=6.0)
     delay, throughput = m.percentiles()
-    assert delay == summarize(m.delay_samples_s).percentile(90.0)
-    assert throughput == summarize(m.throughput_samples_bps).percentile(10.0)
+    assert delay == percentile(m.delay_samples_s, 90.0)
+    assert throughput == percentile(m.throughput_samples_bps, 10.0)
     assert replace(m, delay_samples_s=()).percentiles()[0] == math.inf
 
 

@@ -32,6 +32,7 @@ from gpqm import (
     evaluate,
     fit_rate_model,
     friis_snr_db,
+    link_budget_constant_db,
     mm1q_plr,
     run_benchmark,
     shannon_capacity_bps,
@@ -144,8 +145,7 @@ def shannon_grid_optimum(problem: OptProblem, step_m: float = 0.5) -> float:
     dz2 = (zs - fap.position[2]) ** 2
     d2 = dx2[:, None, None] + dy2[None, :, None] + dz2[None, None, :]
     d = np.sqrt(d2)
-    k = 38.155041745832165
-    snr_lo = k - 20.0 * np.log10(np.maximum(d, 1e-6))
+    snr_lo = link_budget_constant_db(problem.channel) - 20.0 * np.log10(np.maximum(d, 1e-6))
     b = problem.channel.bandwidth_hz
     cap_lo = b * np.log2(1.0 + 10.0 ** (snr_lo / 10.0))
     cap_hi = b * np.log2(1.0 + 10.0 ** ((snr_lo + problem.channel.max_tx_power_dbm) / 10.0))
@@ -192,7 +192,7 @@ def regression_grid_best(problem: OptProblem, step_m: float = 2.0) -> float:
             for f in problem.snapshot.faps
         ]
     )
-    k = 38.155041745832165
+    k = link_budget_constant_db(problem.channel)
     m = fit_rate_model(calibrated_mcs_table())
     best = math.inf
     for p_tx in np.arange(0.0, problem.channel.max_tx_power_dbm + 1e-9, 0.25):
