@@ -5,10 +5,21 @@ FAP for the link to reach its target SNR. A position is admissible when it
 lies in every sphere, inside the venue cuboid, at or above the minimum
 altitude, and at least the protection distance away from every FAP.
 
-The search minimises g(p) = max_i(dist(p, fap_i) - radius_i), a convex
-piecewise-smooth function whose minimiser is the deepest point of the
-intersection; deterministic compass descent with a shrinking step is exact
-enough at centimetre scale and needs no derivatives.
+The deepest point of the intersection minimises the convex function
+g(p) = max_i(dist(p, fap_i) - radius_i). With R = max_i radius_i,
+g(p) + R = max_i(dist(p, fap_i) + R - radius_i), so the minimiser is the
+centre of the smallest ball enclosing balls of radii R - radius_i around the
+FAPs (Fischer & Gaertner, "The smallest enclosing ball of balls", 2004).
+At most four spheres fix it, and `_deepest_point` solves it exactly by
+trying support sets of one to four spheres: each leaves one quadratic in
+the depth, and the first root that meets the optimality conditions is the
+global minimiser.
+
+Compass search with a shrinking step remains only as the fallback, started
+from the exact point, in two cases: where that point lies outside the venue
+(a convex combination of FAPs inside the venue does so only by rounding),
+and where it lies inside a FAP's protection distance, whose excluded balls
+make the admissible set non-convex, so that search stays heuristic.
 """
 
 from __future__ import annotations
@@ -26,6 +37,10 @@ _DIRECTIONS = tuple(
 
 _STEP_LEVELS = 11  # 8 m halved down to ~0.008 m
 CONTAINS_TOL_M = 1e-9
+# A support set's centres count as affinely dependent when the determinant of
+# their Gram matrix is below this share of the product of its diagonal.
+_SINGULAR = 1e-10
+_CERTIFY_TOL_M = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,16 +140,93 @@ def _descend(start: Point, objective, venue: Venue) -> Point:
     return best
 
 
-def _weighted_centroid(spheres: list[SphereConstraint]) -> Point:
-    # Tighter spheres pull harder: weight 1/r^2.
-    wsum = 0.0
-    acc = [0.0, 0.0, 0.0]
-    for s in spheres:
-        w = 1.0 / (s.radius_m * s.radius_m)
-        wsum += w
-        for k in range(3):
-            acc[k] += w * s.center[k]
-    return (acc[0] / wsum, acc[1] / wsum, acc[2] / wsum)
+def _dot(u: Point, v: Point) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _gram_inverse(us: list[Point]) -> list[list[float]] | None:
+    """Inverse of the Gram matrix of 1-3 vectors; None when they are (nearly)
+    linearly dependent."""
+    g = [[_dot(u, v) for v in us] for u in us]
+    if len(us) == 1:
+        adj, det = [[1.0]], g[0][0]
+    elif len(us) == 2:
+        adj = [[g[1][1], -g[0][1]], [-g[1][0], g[0][0]]]
+        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    else:
+        adj = [
+            [
+                g[(j + 1) % 3][(i + 1) % 3] * g[(j + 2) % 3][(i + 2) % 3]
+                - g[(j + 1) % 3][(i + 2) % 3] * g[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)
+            ]
+            for i in range(3)
+        ]
+        det = g[0][0] * adj[0][0] + g[0][1] * adj[1][0] + g[0][2] * adj[2][0]
+    if det <= _SINGULAR * math.prod(g[i][i] for i in range(len(us))):
+        return None
+    return [[x / det for x in row] for row in adj]
+
+
+def _support_roots(support: tuple[SphereConstraint, ...]) -> list[tuple[float, Point]]:
+    """Depths t and points p, a convex combination of the support's centres,
+    with dist(p, c_i)^2 = (t + r_i)^2 for each of its spheres; empty when the
+    centres are affinely dependent. A root with some t + r_i < 0 is spurious,
+    and the certificate in `_deepest_point` rejects it."""
+    first, *rest = support
+    c0, r0 = first.center, first.radius_m
+    if not rest:
+        return [(-r0, c0)]
+    us = [(s.center[0] - c0[0], s.center[1] - c0[1], s.center[2] - c0[2]) for s in rest]
+    inv = _gram_inverse(us)
+    if inv is None:
+        return []
+    # Subtracting |p - c0|^2 = (t + r0)^2 from |p - c_i|^2 = (t + r_i)^2 leaves
+    # (p - c0) . u_i = a_i + b_i t, so p - c0 = qa + t qb with weights wa + t wb
+    # on the u_i.
+    b = [r0 - s.radius_m for s in rest]
+    a = [0.5 * (_dot(u, u) + bi * (r0 + s.radius_m)) for u, bi, s in zip(us, b, rest)]
+    wa = [sum(x * y for x, y in zip(row, a)) for row in inv]
+    wb = [sum(x * y for x, y in zip(row, b)) for row in inv]
+    qa = tuple(sum(w * u[k] for w, u in zip(wa, us)) for k in range(3))
+    qb = tuple(sum(w * u[k] for w, u in zip(wb, us)) for k in range(3))
+    # |p - c0|^2 = (t + r0)^2 then reads quad t^2 + 2 half_lin t + const = 0.
+    quad, half_lin, const = _dot(qb, qb) - 1.0, _dot(qa, qb) - r0, _dot(qa, qa) - r0 * r0
+    disc = half_lin * half_lin - quad * const
+    if disc < 0.0:
+        return []
+    # Cancellation-free roots; const / q is the only one when quad vanishes.
+    q = -(half_lin + math.copysign(math.sqrt(disc), half_lin))
+    roots = ([const / q] if q else []) + ([q / quad] if quad else [])
+    out = []
+    for t in roots:
+        w = [x + t * y for x, y in zip(wa, wb)]
+        if min(w) < 0.0 or sum(w) > 1.0:
+            continue
+        out.append((t, tuple(c0[k] + qa[k] + t * qb[k] for k in range(3))))
+    return out
+
+
+def _deepest_point(spheres: list[SphereConstraint]) -> tuple[Point, bool]:
+    """Minimiser of max_i(dist(p, c_i) - r_i) over all of space, and whether
+    it is certified.
+
+    Support sets of 1-4 spheres are tried in order of size. A root whose
+    point has a coverage gap of at most t (+_CERTIFY_TOL_M), every sphere
+    counted, meets the KKT conditions of the convex problem, so the first
+    such root is the global minimiser. Should rounding leave no root
+    certified, the deepest candidate is returned uncertified.
+    """
+    best_gap, best = math.inf, spheres[0].center
+    for size in range(1, min(4, len(spheres)) + 1):
+        for support in itertools.combinations(spheres, size):
+            for t, p in _support_roots(support):
+                gap = _coverage_gap(p, spheres)
+                if gap <= t + _CERTIFY_TOL_M:
+                    return p, True
+                if gap < best_gap:
+                    best_gap, best = gap, p
+    return best, False
 
 
 def compute_fgw_pos(spheres: list[SphereConstraint], venue: Venue) -> PlacementResult:
@@ -153,7 +245,12 @@ def compute_fgw_pos(spheres: list[SphereConstraint], venue: Venue) -> PlacementR
         if math.dist(a.center, b.center) > a.radius_m + b.radius_m:
             return PlacementResult(False, None, (), -math.inf)
 
-    pos = _descend(_weighted_centroid(spheres), lambda p: _coverage_gap(p, spheres), venue)
+    pos, exact = _deepest_point(spheres)
+    if not exact or not venue.contains(pos):
+        # Compass search from the exact point. That point is a convex
+        # combination of centres inside the venue, so it leaves the venue,
+        # or misses its certificate, only by rounding.
+        pos = _descend(pos, lambda p: _coverage_gap(p, spheres), venue)
     if _coverage_gap(pos, spheres) > 0.0:
         return PlacementResult(False, None, (), -math.inf)
 

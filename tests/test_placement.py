@@ -1,17 +1,25 @@
 """Gateway positioning tests.
 
-The descent result is audited against coarse grid enumeration (the grid can
-never beat the returned point on the same objective) and against feasible
-instances built by construction around a known admissible point.
+`compute_fgw_pos` solves the deepest point of the sphere intersection exactly,
+as the centre of a smallest enclosing ball of balls (Fischer & Gaertner,
+2004), and falls back to compass search from that point only where the point
+leaves the venue or lies inside a FAP's protection distance. The result is
+audited against coarse grid enumeration (the grid can never beat the
+returned point on the same objective), against instances built by
+construction around a known admissible point, and against an optimality
+certificate: no short step in any of many directions makes the point deeper.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpqm import (
     PlacementResult,
@@ -25,9 +33,11 @@ from gpqm import (
     friis_snr_db,
     ChannelParams,
 )
+from gpqm import placement
 from gpqm.channel import capacity_bps
 
 VENUE = Venue()
+NO_FENCE = Venue(min_separation_m=0.0)
 
 
 def coverage_gap(p, spheres):
@@ -161,6 +171,110 @@ def test_constructed_feasible_instances_always_solved():
         assert VENUE.contains(res.position)
 
 
+def _unit(d):
+    n = math.sqrt(sum(x * x for x in d))
+    return tuple(x / n for x in d)
+
+
+_CERT_RNG = random.Random(17)
+CERTIFICATE_DIRECTIONS = [
+    _unit(d) for d in itertools.product((-1.0, 0.0, 1.0), repeat=3) if any(d)
+] + [_unit([_CERT_RNG.gauss(0.0, 1.0) for _ in range(3)]) for _ in range(50)]
+
+
+def assert_deepest(p, spheres):
+    """Optimality certificate of the convex coverage gap: no 1e-4 m step along
+    the 26 compass directions or 50 random ones lowers it by over 1e-9."""
+    gap = coverage_gap(p, spheres)
+    for d in CERTIFICATE_DIRECTIONS:
+        step = (p[0] + 1e-4 * d[0], p[1] + 1e-4 * d[1], p[2] + 1e-4 * d[2])
+        assert coverage_gap(step, spheres) >= gap - 1e-9, (p, d)
+
+
+# Lattice points 0.25 m apart: centres either coincide exactly or stand well
+# apart, so the certificate is not blurred by micrometre-scale clusters.
+lattice_points = st.builds(
+    lambda x, y, z: (x / 4.0, y / 4.0, z / 4.0),
+    st.integers(0, 400), st.integers(0, 400), st.integers(4, 80),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    lattice_points,
+    st.lists(st.tuples(lattice_points, st.floats(0.05, 30.0)), min_size=1, max_size=5),
+)
+def test_exact_point_is_the_deepest(common, drawn):
+    spheres = [SphereConstraint(c, math.dist(c, common) + slack) for c, slack in drawn]
+    exact = compute_fgw_pos(spheres, NO_FENCE)
+    assert exact.feasible
+    assert NO_FENCE.contains(exact.position)  # never clamped: centres span the point
+    assert_deepest(exact.position, spheres)
+    fenced = compute_fgw_pos(spheres, VENUE)
+    if min(math.dist(exact.position, s.center) for s in spheres) >= VENUE.min_separation_m:
+        assert fenced.position == exact.position
+    elif fenced.feasible:
+        assert coverage_gap(fenced.position, spheres) >= coverage_gap(exact.position, spheres) - 1e-9
+        assert fenced.separation_slack_m >= -1e-6
+        assert all(m >= 0.0 for m in fenced.margins_m)
+
+
+_H = 10.0 / math.sqrt(2.0)
+DEGENERATE = {
+    # The coincident pair's Gram matrix is singular; the smaller sphere and
+    # the third support the optimum.
+    "coincident-centres": (
+        [((50.0, 50.0, 10.0), 20.0), ((50.0, 50.0, 10.0), 12.0), ((70.0, 50.0, 10.0), 25.0)],
+        (53.5, 50.0, 10.0),
+    ),
+    # The first triple is collinear and skipped; spheres 0, 2 and 3 support it.
+    "three-collinear-centres": (
+        [((30.0, 50.0, 10.0), 25.0), ((50.0, 50.0, 10.0), 25.0), ((70.0, 50.0, 10.0), 25.0),
+         ((50.0, 80.0, 10.0), 25.0)],
+        (50.0, 175.0 / 3.0, 10.0),
+    ),
+    # The first quadruple is coplanar and skipped; spheres 0, 1, 2 and 4 support it.
+    "four-coplanar-centres": (
+        [((40.0, 40.0, 5.0), 25.0), ((60.0, 40.0, 5.0), 25.0), ((50.0, 62.0, 5.0), 25.0),
+         ((50.0, 45.0, 5.0), 25.0), ((50.0, 47.0, 19.0), 25.0)],
+        (50.0, 536.0 / 11.0, 1791.0 / 308.0),
+    ),
+    "equal-radii": (
+        [((40.0, 40.0, 5.0), 20.0), ((60.0, 40.0, 5.0), 20.0), ((50.0, 60.0, 5.0), 20.0),
+         ((50.0, 50.0, 15.0), 20.0)],
+        (50.0, 47.5, 5.0),
+    ),
+    # Radius differences equal to the projections of the centre offsets on a
+    # unit vector: the quadratic's leading coefficient vanishes and the depth
+    # is the root of a linear equation.
+    "linear-root": (
+        [((40.0, 40.0, 10.0), 5.0), ((50.0, 40.0, 10.0), 5.0 + _H), ((40.0, 50.0, 10.0), 5.0 + _H)],
+        (41.25, 41.25, 10.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_support_sets(case):
+    drawn, expected = DEGENERATE[case]
+    spheres = [SphereConstraint(c, r) for c, r in drawn]
+    res = compute_fgw_pos(spheres, NO_FENCE)
+    assert res.feasible
+    assert res.position == pytest.approx(expected, abs=1e-9)
+    assert_deepest(res.position, spheres)
+
+
+def test_uncertified_point_falls_back_to_compass_search(monkeypatch):
+    # With every support set of two or more spheres refused, no single centre
+    # certifies, so compass search starts from the deepest centre.
+    monkeypatch.setattr(placement, "_SINGULAR", math.inf)
+    spheres = [SphereConstraint((30.0, 50.0, 10.0), 25.0), SphereConstraint((70.0, 50.0, 10.0), 25.0)]
+    res = compute_fgw_pos(spheres, VENUE)
+    assert res.feasible
+    assert res.min_margin_m == pytest.approx(5.0, abs=0.01)
+    assert VENUE.contains(res.position)
+
+
 def test_placement_is_deterministic():
     spheres = [
         SphereConstraint((50.0, 75.0, 10.0), 143.8),
@@ -270,7 +384,7 @@ def test_pair_extremes_beat_grid_sampling():
     assert out.min_value_bps <= worst + 1e-6
 
 
-GOLDEN_PAIR_SHA256 = "6f2b79c66a758dfa35f9d5c7bfabe043a5b17780fe11ccf8f4c08748f01af90a"
+GOLDEN_PAIR_SHA256 = "ef3505e1cd60135df4ddca727355a7fab76285ea75c6ddb701c9bce7602bb132"
 
 
 def test_golden_pair_outputs():

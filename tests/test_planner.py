@@ -18,10 +18,13 @@ from gpqm import (
     PlacementInfeasibleError,
     PlannerConfig,
     PlanningError,
+    SphereConstraint,
     Venue,
     check_formulation,
     default_mcs_table,
+    feasibility_margin,
     generate_rwm,
+    max_distance_m,
     plan_series,
     plan_series_from_json,
     plan_series_to_json,
@@ -78,6 +81,27 @@ def test_reference_plan_minimal_power():
     capped = replace(CH, max_tx_power_dbm=19.0)
     with pytest.raises(PlanningError):
         plan_snapshot(reference_snapshot(), capped, VENUE, CFG)
+
+
+def test_deepest_point_reaches_the_lowest_feasible_power():
+    # A compass search stalled short of the intersection at 22 dBm in this
+    # snapshot and planned it at 23 dBm.
+    trace = generate_rwm(n_faps=5, duration_s=100.0, seed=1005)
+    snap = next(s for s in trace.snapshots() if s.t_s == 15.0)
+    plan = plan_snapshot(snap, trace.channel, trace.venue, CFG, trace.mcs_table())
+    assert plan.tx_power_dbm == 22.0
+    spheres = [
+        SphereConstraint(fap.position, max_distance_m(trace.channel, 22.0, f.target_snr_db))
+        for fap, f in zip(snap.faps, plan.faps)
+    ]
+    # Checked without the solver: the plan's point and a fixed witness are
+    # admissible at 22 dBm.
+    for witness in (plan.fgw_position, (77.741, 40.788, 14.551)):
+        assert min(feasibility_margin(witness, spheres)) >= 0.0
+        assert trace.venue.contains(witness)
+        assert all(
+            math.dist(witness, fap.position) >= trace.venue.min_separation_m for fap in snap.faps
+        )
 
 
 def test_reference_plan_runtime_under_one_second():
@@ -395,7 +419,7 @@ def test_plan_file_wrong_type_is_named(with_demand):
         plan_series_from_json(doc)
 
 
-GOLDEN_PLAN_SERIES_SHA256 = "2ce26dc2c87c0e965e4f8079b9a5814a4d1819b6e52813d42e85ba186f0fe000"
+GOLDEN_PLAN_SERIES_SHA256 = "599dcca0baabceb9c0eb6b009ca2cd98e90a54821dbe9d3b838cdeec2b97022a"
 
 
 def test_golden_plan_series():

@@ -481,25 +481,25 @@ GOLDEN_CELLS = {
 
 GOLDEN_SHA256 = {
     "centroid": "b578e6df94ee116610a0c56dc0955a37729ba4c1b03587ba59c4746c5fc2fafc",
-    "codel-aimd": "20f7539f705e8460070178c9b49df4e9bb3ef06798baea378a50cf1c2636c5eb",
-    "codel-onoff": "7b0fcce983fb48f45d7cd20f5ffd153c166c11b143b257ba92ed385461bd66da",
-    "codel-poisson": "964169b1cc6f848b378b428b196fe578619b3a9835f0f090d0b00b4bb7e981cb",
-    "droptail-aimd": "b6944d93f6b2ddac92eec1c96fef3c90af2361c2927138db3304f5982d0eeecc",
-    "droptail-onoff": "a68d0c17da15fd5634b9d749b85fadc4847a1c23884f359d797c462751fb8579",
-    "droptail-poisson": "bbe6303320b077cb94d70400ce7cef02b4756f177c9067575b1d6a94d5199cf7",
-    "exponential": "88f8c7cd5fb24f270395878e2fb406f493672834cea1d1fd1046c61dbb764243",
+    "codel-aimd": "e1d3557a885da08a63173150c1c0941beba65bc91fcbef04892032bec2c480cd",
+    "codel-onoff": "d9d278478775203e4529b9bd77e2d3e79e02abec2c14a0efb61b22a4edc7eb49",
+    "codel-poisson": "c5fcbcafb17df8bb373842227754ea1a6606515097202fe88cbbb0a38e1b3015",
+    "droptail-aimd": "13603552a49609c1fcfa3d3ff143e4c96f7b18f121e3ede811346e035ede85a9",
+    "droptail-onoff": "bc13e6bec826bd68897c72b53f06fc652e1f77304858c0848ccabe0d06a9a993",
+    "droptail-poisson": "0c0ff970fc8b9b656d99ed8aa3a9128bdf901e6bfa953ecd4f556fa62db8b5b0",
+    "exponential": "7ecc0f9cfda2346675e8e7effb62050dfb31419ab2cec1df2605097a34ce3212",
     "onoff-shared-exponential-centroid":
         "31990f136f1b92eba331df7b7f88a9c80609290bdc9a58211ca901c0a3346867",
-    "red-aimd": "c6694ebe66d5072730541eee09e03275b0709ed51a7b11edc01a7d3da20f7558",
-    "red-onoff": "91d1319fdce8255458a64cca62ced9cdc98b552941bbde8da9675ef27753d70b",
-    "red-poisson": "52bea06494973452d2b7d2bfb2fe8d4098000ed9375545694ad12384422ab471",
-    "schedule-aimd": "380e42d5bf961806bf5e48b06a516bf89324a5ff7d461cc5ef1c8f8677981e44",
-    "schedule-onoff": "238025e47cab4799e416cd0a981132ff77a6288928aceb6b888134db1924b42a",
-    "schedule-poisson": "474988d1af98fc3f5c461acfbbeb048bcff780ad578eb16d015d071512a63343",
-    "scheduled-aimd": "21c704e2e8d3e5773451ec9b885d540ae7f32c4d5c6cb39e5d2916d88a88cef5",
-    "scheduled-onoff": "7cba7ad7154834ea85f805a7bce7ae8033c6c4b31e84322f889cf8bd3bede4ad",
-    "scheduled-poisson": "8ef961b0f3014b087adb51c1b112f44a58bd7629532e57b1dd75d8917621d941",
-    "shared-nofade": "aeb4e4dd2c22e2bb826bb9600d219a60473b01d93e973b45f6a0a44f2c6a8957",
+    "red-aimd": "73d02157de346ffecebe4290766363f0d641b5c142cc8c2cdaf0a48edb8ad759",
+    "red-onoff": "601c83608f2721adac4a377caa384220cd1e54a96186f6b6de573603d1e532e0",
+    "red-poisson": "5104e01618f72df7dd07b06ccbc6d37d8834fbcac43029b0927c6f3abed4d877",
+    "schedule-aimd": "40918702a6968da410d944635be288718c1191f497c8d4a548e31387f7bf1bd1",
+    "schedule-onoff": "dded28a36d0cead7f0f266a1f391f39a511ea7e015e905466ef6fa3a547915fc",
+    "schedule-poisson": "37892fbbfe33e21d157e9d0b35c110853be4c994b7a823e536922189435482e6",
+    "scheduled-aimd": "583f27e901e4fe47c8dd9799aeb479b15ae093632be8c8b45fb7d445fcec02e1",
+    "scheduled-onoff": "46f377edaff41ca582bd816a225e06bedb430f45527ac0eed2fc00ce91f8a8bc",
+    "scheduled-poisson": "1b57c61b4d4c4ab7fef3ca50a4e8b2af9d69e7b93bdaa0f587d85c4ea73f54a3",
+    "shared-nofade": "6e7e5bc81e46f5efa617f01366ddfe6687c5436f68c07ad5a936011f34310868",
     "silent-aimd": "7ca5d208ee12420832946fce79ac7d1f83f20ad76d1cf5a27b494f14ea71f453",
     "silent-onoff": "e9711efe16da730041346dca6d326a74fe4a1f0cea558f6b888d9d2e8e79e040",
     "silent-poisson": "5b488afbdeb4c448fa32044c9b6018c1f72f1d49c7767296e8c3a94b54c1b914",

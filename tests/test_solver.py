@@ -365,7 +365,7 @@ def test_run_benchmark_gives_up_on_unplannable_seeds():
 
 GOLDEN_SOLVER_SHA256 = {
     "solve_pso": "c1ac13584cd6595a252a46ecdbc64bfaeb77fb19c59f3eef8486a6e567da108d",
-    "run_benchmark": "a8d493dfac26fe9fcd265f3ec7a7316b65e715d13b4dbcfb85a20bdd887f8ca7",
+    "run_benchmark": "4e8a2ba757f38046c26b5706dd8d923661ab49122cedd04c27b8307f1efdf8e8",
 }
 
 
