@@ -91,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=SimConfig.placement)
     s.add_argument("--queue", choices=QUEUES, default=None,
                    help="default: scheduled for gpqm, droptail otherwise")
-    s.add_argument("--queue-size", type=int, default=SimConfig.queue_size)
+    s.add_argument("--queue-size", type=int, default=SimConfig.queue_size,
+                   help="packets; droptail and red only")
     s.add_argument("--seed", type=int, default=SimConfig.seed)
     s.add_argument("--runs", type=int, default=1)
     s.add_argument("--out", required=True, help="output directory")
@@ -225,10 +226,11 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool, delay_parts=()) 
             csv.writer(fh).writerow(["source_id", "created_s", "delay_s", "dropped"])
             # every record's FAP is one of the run's FAPs
             prefix = {fap_id: _csv_prefix(fap_id) for fap_id in metrics.per_fap_goodput_bps}
+            # a dropped packet has no delivery time: an empty delay, dropped 1
             fh.writelines(
-                f"{prefix[p.fap_id]}{p.created_s!r},"
-                f"{'' if p.delay_s is None else repr(p.delay_s)},{int(p.dropped)}\r\n"
-                for p in metrics.packets
+                f"{prefix[fap_id]}{created!r},,1\r\n" if delivered is None
+                else f"{prefix[fap_id]}{created!r},{delivered - created!r},0\r\n"
+                for fap_id, created, delivered in metrics.packets
             )
     p90_delay, p90_throughput = metrics.percentiles()
     summary = {
@@ -248,6 +250,8 @@ def _cmd_simulate(args) -> int:
     queue = args.queue
     if queue is None:
         queue = "scheduled" if args.policy == "gpqm" else "droptail"
+    if queue in ("scheduled", "codel") and args.queue_size != SimConfig.queue_size:
+        raise ValueError(f"--queue-size applies to droptail and red only, not {queue}")
     base = SimConfig(
         bootstrap_s=args.bootstrap,
         measure_s=args.measure,
@@ -271,13 +275,14 @@ def _cmd_simulate(args) -> int:
     for k in range(args.runs):
         config = replace(base, seed=args.seed + k)
         metrics = simulate(trace, config, plan=plan)
-        runs.append(metrics)
-        run_dir = out_root / f"seed{config.seed}"
-        _write_metrics(run_dir, metrics, args.packets_csv)
+        _write_metrics(out_root / f"seed{config.seed}", metrics, args.packets_csv)
         print(
             f"seed {config.seed}: delivered {metrics.window_delivered} pkts, "
             f"plr {metrics.plr:.4f}"
         )
+        # merge_metrics reads no records: free them before the next run
+        metrics = replace(metrics, packets=())
+        runs.append(metrics)
     if len(runs) > 1:
         _write_metrics(out_root / "pooled", merge_metrics(runs), False,
                        [out_root / f"seed{m.seed}" / "delays.csv" for m in runs])

@@ -63,7 +63,7 @@ class SimConfig:
     seed: int = 1
     placement: str = "gpqm"
     queue: str = "scheduled"
-    queue_size: int = 100
+    queue_size: int = 100  # droptail and red only: scheduled takes the plan's, codel its own
     traffic: str = "poisson"
     channel_mode: str = "independent"
     fading: bool = True
@@ -91,14 +91,18 @@ class SimConfig:
             raise ValueError("queue size must be at least 1")
         if self.placement == "fixed" and self.fixed_position is None:
             raise ValueError("fixed placement needs fixed_position")
+        if self.fixed_position is not None and not (
+            len(self.fixed_position) == 3 and all(map(math.isfinite, self.fixed_position))
+        ):
+            raise ValueError(f"fixed_position must be 3 finite numbers, not {self.fixed_position}")
 
 
 class PacketRecord(NamedTuple):
+    """One packet's source, creation time and delivery time (None if dropped)."""
+
     fap_id: str
     created_s: float
     delivered_s: float | None
-    dropped: bool
-    delay_s: float | None
 
 
 @dataclass(frozen=True)
@@ -300,7 +304,7 @@ class _Fap:
             self.aimd_rate_bps = max(self.aimd_rate_bps * 0.5, PACKET_BITS)
         if cfg.record_packets:
             self.record_at.append(now)
-            self.records.append(PacketRecord(self.trace.fap_id, created, None, True, None))
+            self.records.append(PacketRecord(self.trace.fap_id, created, None))
 
     def pull(self, now: float) -> float | None:
         """The queue's next packet, dropping what the queue discards on the way."""
@@ -391,8 +395,7 @@ class _Fap:
                     thr[min(int(delivered_at - lo), last_bin)] += PACKET_BITS
                 if record:
                     record_at(now)
-                    records(PacketRecord(fap_id, created, delivered_at, False,
-                                         delivered_at - created))
+                    records(PacketRecord(fap_id, created, delivered_at))
                 if aimd:
                     self.aimd_rate_bps = min(self.aimd_rate_bps + PACKET_BITS, self.demand_bps)
                 if rate > 0.0:

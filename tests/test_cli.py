@@ -168,11 +168,11 @@ def test_streamed_csvs_match_csv_writer(tmp_path):
     ids = ['a,"b c', "plain", "two\nlines", ""]
     delays = (1e-05, 0.1, 1.0 / 3.0, 2.5e-07, 1e16)
     packets = (
-        PacketRecord(ids[0], 0.5, 0.50001, False, 1e-05),
-        PacketRecord(ids[1], 1e-05, None, True, None),
-        PacketRecord(ids[2], 0.25, 0.35, False, 0.1),
-        PacketRecord(ids[3], 2.0, None, True, None),
-        PacketRecord(ids[0], 1.0 / 3.0, None, True, None),
+        PacketRecord(ids[0], 0.0, 1e-05),
+        PacketRecord(ids[1], 1e-05, None),
+        PacketRecord(ids[2], 0.25, 0.35),
+        PacketRecord(ids[3], 2.0, None),
+        PacketRecord(ids[0], 1.0 / 3.0, None),
     )
     metrics = SimMetrics(
         label="x", seed=1, bootstrap_s=0.0, measure_s=1.0, throughput_samples_bps=(0.0,),
@@ -190,8 +190,47 @@ def test_streamed_csvs_match_csv_writer(tmp_path):
         [["delay_s"], *([v] for v in delays)])
     assert (tmp_path / "packets.csv").read_bytes() == written(
         [["source_id", "created_s", "delay_s", "dropped"]]
-        + [[p.fap_id, p.created_s, "" if p.delay_s is None else p.delay_s, int(p.dropped)]
-           for p in packets])
+        + [[p.fap_id, p.created_s, "" if p.delivered_s is None else p.delivered_s - p.created_s,
+            int(p.delivered_s is None)] for p in packets])
+
+
+def test_runs_are_merged_without_their_records(tmp_path, monkeypatch):
+    # Each run's records are written, then freed: merge_metrics reads none.
+    scenario, metrics, single = tmp_path / "s.json", tmp_path / "m", tmp_path / "one"
+    assert cli.main([
+        "generate", "--faps", "2", "--duration", "4", "--seed", "6", "--out", str(scenario),
+    ]) == 0
+    merged = []
+
+    def merge_without_records(runs):
+        assert all(m.packets == () for m in runs)
+        merged.append(len(runs))
+        return merge_metrics(runs)
+
+    monkeypatch.setattr(cli, "merge_metrics", merge_without_records)
+    window = ["--policy", "venue-center", "--bootstrap", "1", "--measure", "1.5",
+              "--packets-csv"]
+    assert cli.main(["simulate", "--scenario", str(scenario), "--runs", "2", *window,
+                     "--out", str(metrics)]) == 0
+    assert merged == [2]
+    assert cli.main(["simulate", "--scenario", str(scenario), "--seed", "2", *window,
+                     "--out", str(single)]) == 0
+    packets = (metrics / "seed2" / "packets.csv").read_bytes()
+    assert packets.count(b"\r\n") > 1
+    assert packets == (single / "seed2" / "packets.csv").read_bytes()
+
+
+@pytest.mark.parametrize("queue, code", [("scheduled", 2), ("codel", 2), (None, 2),
+                                         ("droptail", 4), ("red", 4)])
+def test_queue_size_only_where_the_queue_uses_it(tmp_path, monkeypatch, capsys, queue, code):
+    # scheduled takes the plan's sizes and codel its own limit; None is gpqm's scheduled.
+    # The flag is checked before the (missing) scenario is read, which exits 4.
+    monkeypatch.chdir(tmp_path)
+    queue_flag = [] if queue is None else ["--queue", queue]
+    assert cli.main(["simulate", "--scenario", "s.json", "--queue-size", "3", *queue_flag,
+                     "--out", "m"]) == code
+    assert ("--queue-size" in capsys.readouterr().err) == (code == 2)
+    assert not any(tmp_path.iterdir())
 
 
 def test_pooled_delays_are_the_pooled_samples_written_afresh(tmp_path):

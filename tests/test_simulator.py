@@ -227,15 +227,10 @@ def test_seed_changes_outcome():
 def test_packet_records_causal():
     m = run_single(1.5 * MU_PPS * 11200.0, queue_size=5, measure_s=4.0,
                    record_packets=True)
-    delivered = [p for p in m.packets if not p.dropped]
-    droppedp = [p for p in m.packets if p.dropped]
-    assert delivered and droppedp
+    delivered = [p for p in m.packets if p.delivered_s is not None]
+    assert delivered and len(delivered) < len(m.packets)
     for p in delivered:
         assert p.delivered_s > p.created_s
-        assert p.delay_s == pytest.approx(p.delivered_s - p.created_s)
-        assert p.delay_s > 0.0
-    for p in droppedp:
-        assert p.delivered_s is None and p.delay_s is None
 
 
 def test_fair_share_parity_across_identical_faps():
@@ -378,6 +373,9 @@ def test_config_validation():
         SimConfig(measure_s=0.0)
     with pytest.raises(ValueError):
         SimConfig(placement="fixed")
+    for position in ((math.nan, 50.0, 10.0), (50.0, 10.0)):
+        with pytest.raises(ValueError, match="fixed_position"):
+            SimConfig(placement="fixed", fixed_position=position)
 
 
 # --- percentiles and pooling ----------------------------------------------
@@ -528,7 +526,8 @@ def test_golden_outputs(golden_inputs, cell):
     trace, plan = golden_inputs[kind]
     m = simulate(trace, SimConfig(**GOLDEN_WINDOW, **kw), plan=plan)
     # Tuples of the records' fields repr faster than the dataclasses themselves.
-    rows = [(p.fap_id, p.created_s, p.delivered_s, p.dropped, p.delay_s) for p in m.packets]
+    rows = [(p.fap_id, p.created_s, p.delivered_s, p.delivered_s is None,
+             None if p.delivered_s is None else p.delivered_s - p.created_s) for p in m.packets]
     digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
     assert digest == GOLDEN_SHA256[cell]
 
@@ -554,7 +553,8 @@ def test_golden_cross_fap_ties(traffic):
                     service_mode="deterministic", record_packets=True)
     m = simulate(trace, cfg)
     # the digest of test_golden_outputs
-    rows = [(p.fap_id, p.created_s, p.delivered_s, p.dropped, p.delay_s) for p in m.packets]
+    rows = [(p.fap_id, p.created_s, p.delivered_s, p.delivered_s is None,
+             None if p.delivered_s is None else p.delivered_s - p.created_s) for p in m.packets]
     digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
     assert digest == TIE_SHA256[traffic]
 
@@ -631,6 +631,7 @@ def test_golden_outage(outage_inputs, queue, traffic, service):
                     traffic=traffic, service_mode=service, record_packets=True)
     m = simulate(trace, cfg, plan=plan)
     # the digest of test_golden_outputs
-    rows = [(p.fap_id, p.created_s, p.delivered_s, p.dropped, p.delay_s) for p in m.packets]
+    rows = [(p.fap_id, p.created_s, p.delivered_s, p.delivered_s is None,
+             None if p.delivered_s is None else p.delivered_s - p.created_s) for p in m.packets]
     digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
     assert digest == OUTAGE_SHA256[f"{queue}-{traffic}-{service}"]
