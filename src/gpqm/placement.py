@@ -19,13 +19,16 @@ Compass search with a shrinking step remains only as the fallback, started
 from the exact point, in two cases: where that point lies outside the venue
 (a convex combination of FAPs inside the venue does so only by rounding),
 and where it lies inside a FAP's protection distance, whose excluded balls
-make the admissible set non-convex, so that search stays heuristic.
+make the admissible set non-convex, so that search stays heuristic. The
+search evaluates each point it visits once. A sphere whose radius is under
+the protection distance admits no point at all, so no search starts then.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 Point = tuple[float, float, float]
@@ -116,19 +119,36 @@ def _separation_gap(point: Point, spheres: list[SphereConstraint], min_sep: floa
 
 
 def _descend(start: Point, objective, venue: Venue) -> Point:
-    """Compass pattern search over the clamped venue, step 8 m halving down."""
+    """Compass pattern search over the clamped venue, step 8 m halving down.
+
+    Each point's objective is computed once: the objectives are pure, and
+    read a point only through distances and venue comparisons, for which
+    0.0 and -0.0, one dictionary key, are alike.
+    """
+    x_max, y_max = venue.x_max_m, venue.y_max_m
+    z_min, z_max = venue.min_altitude_m, venue.z_max_m
     best = venue.clamp(start)
     best_val = objective(best)
+    seen = {best: best_val}
     step = 8.0
     for _ in range(_STEP_LEVELS):
         while True:
             move = None
             move_val = best_val
-            for d in _DIRECTIONS:
-                cand = venue.clamp(
-                    (best[0] + step * d[0], best[1] + step * d[1], best[2] + step * d[2])
-                )
-                val = objective(cand)
+            bx, by, bz = best
+            for dx, dy, dz in _DIRECTIONS:
+                # Venue.clamp, inlined: min(max(v, lower), upper)
+                x = bx + step * dx
+                x = 0.0 if 0.0 > x else x
+                y = by + step * dy
+                y = 0.0 if 0.0 > y else y
+                z = bz + step * dz
+                z = z_min if z_min > z else z
+                cand = (x_max if x_max < x else x, y_max if y_max < y else y,
+                        z_max if z_max < z else z)
+                val = seen.get(cand)
+                if val is None:
+                    val = seen[cand] = objective(cand)
                 if val < move_val - 1e-15:
                     move = cand
                     move_val = val
@@ -245,6 +265,11 @@ def compute_fgw_pos(spheres: list[SphereConstraint], venue: Venue) -> PlacementR
         if math.dist(a.center, b.center) > a.radius_m + b.radius_m:
             return PlacementResult(False, None, (), -math.inf)
 
+    min_sep = venue.min_separation_m
+    if min(s.radius_m for s in spheres) < min_sep:
+        # Within such a sphere every point is inside the protection distance.
+        return PlacementResult(False, None, (), -math.inf)
+
     pos, exact = _deepest_point(spheres)
     if not exact or not venue.contains(pos):
         # Compass search from the exact point. That point is a convex
@@ -254,22 +279,26 @@ def compute_fgw_pos(spheres: list[SphereConstraint], venue: Venue) -> PlacementR
     if _coverage_gap(pos, spheres) > 0.0:
         return PlacementResult(False, None, (), -math.inf)
 
-    min_sep = venue.min_separation_m
     if _separation_gap(pos, spheres, min_sep) > 0.0:
         # Too close to some FAP. First find any admissible point (max of the
         # two gaps is <= 0 exactly when both are), then go as deep as the
         # protection distance allows with moves that never re-enter it.
+        centers = [s.center for s in spheres]
+        radii = [s.radius_m for s in spheres]
+
         def fenced(p: Point) -> float:
-            return max(_coverage_gap(p, spheres), _separation_gap(p, spheres, min_sep))
+            ds = [math.dist(p, c) for c in centers]
+            return max(max(map(operator.sub, ds, radii)), min_sep - min(ds))
 
         pos = _descend(pos, fenced, venue)
         if fenced(pos) > 0.0:
             return PlacementResult(False, None, (), -math.inf)
 
         def standoff_kept(p: Point) -> float:
-            if _separation_gap(p, spheres, min_sep) > 0.0:
+            ds = [math.dist(p, c) for c in centers]
+            if min(ds) < min_sep:
                 return math.inf
-            return _coverage_gap(p, spheres)
+            return max(map(operator.sub, ds, radii))
 
         pos = _descend(pos, standoff_kept, venue)
 

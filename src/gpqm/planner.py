@@ -6,11 +6,19 @@ upward until the per-link range spheres admit a gateway position. The
 returned plan carries the minimal feasible power, the position, and per
 link the capacity, utilisation, provisioned queue and predicted delay and
 loss.
+
+The sweep skips the powers that provably admit no gateway: those at which
+some FAP's range is shorter than the protection distance, or some pair of
+FAPs stands farther apart than its two ranges reach. Ranges never shrink as
+the power rises, so these powers form a prefix of the power ladder; a
+galloping search and a bisection find its end in O(log) probes, and the
+sweep places the gateway from there on as a rung-by-rung scan would.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import astuple, dataclass, replace
 from operator import attrgetter
@@ -36,8 +44,9 @@ SLACK_TOL_M = 1e-9
 class PlannerConfig:
     """Planner settings; the power sweep climbs from `min_tx_power_dbm` by `power_step_db`.
 
-    A step of at least 0.01 dB keeps the sweep to at most 3001 probes up to
-    the default 30 dBm ceiling.
+    A step of at least 0.01 dB keeps the ladder to at most 3001 rungs up to
+    the default 30 dBm ceiling; the sweep probes O(log) of the rungs below
+    its first candidate power and places the gateway from there on.
     """
 
     min_tx_power_dbm: ClassVar[float] = 0.0
@@ -138,11 +147,56 @@ def plan_snapshot(
             f"{usable / 1e6:.1f} Mbit/s"
         )
 
-    power = config.min_tx_power_dbm
-    while power <= channel.max_tx_power_dbm + 1e-9:
+    # Rung i of the power ladder, None above the ceiling; built as far as read,
+    # since the ceiling only has to be finite.
+    powers: list[float] = []
+    ceiling = channel.max_tx_power_dbm + 1e-9
+
+    def power_at(i: int) -> float | None:
+        while len(powers) <= i:
+            power = powers[-1] + config.power_step_db if powers else config.min_tx_power_dbm
+            if not power <= ceiling:
+                return None
+            powers.append(power)
+        return powers[i]
+
+    positions = [fap.position for fap in snapshot.faps]
+    targets = [f.target_snr_db for f in fap_plans]
+    pairs = [
+        (i, j, math.dist(positions[i], positions[j]))
+        for i, j in itertools.combinations(range(len(positions)), 2)
+    ]
+
+    def hopeless(power: float) -> bool:
+        """No gateway at this power: a range under the protection distance, or
+        a pair of FAPs out of reach of each other (compute_fgw_pos's own test).
+
+        A range outside (0, inf) is never hopeless, so the sweep reaches it
+        and SphereConstraint rejects it.
+        """
+        radii = [max_distance_m(channel, power, t) for t in targets]
+        if not all(0.0 < r < math.inf for r in radii):
+            return False
+        return min(radii) < venue.min_separation_m or any(
+            d > radii[i] + radii[j] for i, j, d in pairs
+        )
+
+    def stops(i: int) -> bool:
+        power = power_at(i)
+        return power is None or not hopeless(power)
+
+    # Radii rise with the power, so once every radius is positive `stops` is
+    # false on a prefix of the ladder and true after it. Gallop over rungs 0,
+    # 1, 3, 7, ... to the first rung where it holds, then bisect below it.
+    lo, hi = -1, 0
+    while not stops(hi):
+        lo, hi = hi, 2 * hi + 1
+    i = bisect.bisect_left(range(hi), True, lo + 1, key=stops)
+
+    while (power := power_at(i)) is not None:
         spheres = [
-            SphereConstraint(fap.position, max_distance_m(channel, power, f.target_snr_db))
-            for fap, f in zip(snapshot.faps, fap_plans)
+            SphereConstraint(position, max_distance_m(channel, power, t))
+            for position, t in zip(positions, targets)
         ]
         placement = compute_fgw_pos(spheres, venue)
         if placement.feasible:
@@ -153,7 +207,7 @@ def plan_snapshot(
                 faps=tuple(fap_plans),
                 margins_m=placement.margins_m,
             )
-        power += config.power_step_db
+        i += 1
     raise PlacementInfeasibleError(
         f"no gateway position at any power up to {channel.max_tx_power_dbm} dBm "
         f"(snapshot t={snapshot.t_s} s)"

@@ -33,8 +33,10 @@ from gpqm import (
     friis_snr_db,
     ChannelParams,
 )
-from gpqm import placement
+from gpqm import PlannerConfig, plan_snapshot, placement
 from gpqm.channel import capacity_bps
+
+import sweep_reference
 
 VENUE = Venue()
 NO_FENCE = Venue(min_separation_m=0.0)
@@ -382,6 +384,48 @@ def test_pair_extremes_beat_grid_sampling():
         x += 1.0
     assert out.max_value_bps >= best - 1e-6
     assert out.min_value_bps <= worst + 1e-6
+
+
+def test_compass_search_evaluates_each_point_once(monkeypatch):
+    """On the fence searches of the fenced planner snapshots and on the pair
+    study's refinement, the compass search returns the plain copy's point,
+    bit for bit, with fewer objective calls."""
+    calls = {}  # objective kind: [memoised calls, plain calls]
+    memoised = placement._descend
+
+    def both(start, objective, venue):
+        memo = [0]
+
+        def counted(p):
+            memo[0] += 1
+            return objective(p)
+
+        point = memoised(start, counted, venue)
+        plain = [0]
+        assert repr(point) == repr(sweep_reference.descend(start, objective, venue, plain))
+        assert memo[0] <= plain[0]
+        kind = calls.setdefault(f"{phase}:{objective.__name__}", [0, 0])
+        kind[0] += memo[0]
+        kind[1] += plain[0]
+        return point
+
+    monkeypatch.setattr(placement, "_descend", both)
+    phase = "plan"
+    for seed, index in sweep_reference.FENCED_SNAPSHOTS:
+        trace, snap = sweep_reference.trace_snapshot(seed, index)
+        plan_snapshot(snap, trace.channel, trace.venue, PlannerConfig(), trace.mcs_table())
+    phase = "pair"
+    ch = ChannelParams()
+    for first, second in (
+        (((30.0, 50.0, 10.0), max_distance_m(ch, 20.0, 15.0)),
+         ((60.0, 50.0, 10.0), max_distance_m(ch, 20.0, 15.0))),
+        (((45.0, 50.0, 10.0), 3.5), ((50.0, 50.0, 10.0), 3.5)),
+    ):
+        sphere_pair_analysis(SphereConstraint(*first), SphereConstraint(*second), VENUE,
+                             shannon_of_distance)
+    for kind in ("plan:fenced", "plan:standoff_kept", "pair:<lambda>"):
+        memo, plain = calls[kind]
+        assert memo < plain, kind
 
 
 GOLDEN_PAIR_SHA256 = "ef3505e1cd60135df4ddca727355a7fab76285ea75c6ddb701c9bce7602bb132"

@@ -5,10 +5,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpqm import (
     AggregateCapacityError,
@@ -30,7 +37,10 @@ from gpqm import (
     plan_series_to_json,
     plan_snapshot,
 )
+from gpqm.channel import link_budget_constant_db
 from gpqm.scenario import DemandProfile, FapState, FapTrace, ScenarioTrace, Snapshot
+
+import sweep_reference
 
 CH = ChannelParams()
 VENUE = Venue()
@@ -433,3 +443,103 @@ def test_golden_plan_series():
             except PlanningError as exc:
                 out.append((type(exc).__name__, str(exc)))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == GOLDEN_PLAN_SERIES_SHA256
+
+
+# --- the sweep against a rung-by-rung reference ------------------------------
+
+
+def outcome(plan, snap, channel, venue, config, table=None) -> str:
+    """repr of the plan, or the type and message of the error, so -0.0 and
+    0.0 differ."""
+    try:
+        return repr(plan(snap, channel, venue, config, table))
+    except (PlanningError, ValueError) as exc:
+        return repr((type(exc), str(exc)))
+
+
+def assert_sweep_matches_reference(snap, channel, venue, config, table=None):
+    args = (snap, channel, venue, config, table)
+    assert outcome(plan_snapshot, *args) == outcome(sweep_reference.plan_snapshot, *args)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.builds(
+        generate_rwm,
+        n_faps=st.integers(1, 5),
+        duration_s=st.floats(1.0, 40.0),
+        seed=st.integers(0, 2**31 - 1),
+        demand_fractions=st.lists(st.floats(0.05, 1.2), min_size=1, max_size=4).map(tuple),
+    ),
+    st.floats(0.01, 5.0),
+    st.floats(0.0, 60.0),
+)
+def test_sweep_matches_the_rung_by_rung_reference(trace, step, ceiling):
+    channel = replace(trace.channel, max_tx_power_dbm=ceiling)
+    config = PlannerConfig(power_step_db=step)
+    for snap in trace.snapshots():
+        assert_sweep_matches_reference(snap, channel, trace.venue, config, trace.mcs_table())
+
+
+@pytest.mark.parametrize("seed, index", sweep_reference.FENCED_SNAPSHOTS)
+def test_sweep_matches_the_reference_on_fenced_snapshots(seed, index):
+    trace, snap = sweep_reference.trace_snapshot(seed, index)
+    for config in (CFG, PlannerConfig(power_step_db=0.37)):
+        assert_sweep_matches_reference(snap, trace.channel, trace.venue, config, trace.mcs_table())
+
+
+def exact_metre_channel() -> ChannelParams:
+    """A channel whose 15 dB range at 0 dBm is exactly 1 m."""
+    a = link_budget_constant_db(CH) + CH.noise_power_dbm
+    channel = replace(CH, noise_power_dbm=a - 15.0)
+    assert max_distance_m(channel, 0.0, 15.0) == 1.0
+    return channel
+
+
+def test_range_equal_to_the_protection_distance_is_tried():
+    # The MCS-2 FAP's range equals the 1 m fence at 0 dBm; the gateway sits
+    # exactly on both, one compass step away.
+    snap = Snapshot(0.0, (FapState("f", (50.0, 50.0, 10.0), 112e6),))
+    venue = Venue(min_separation_m=1.0)
+    plan = plan_snapshot(snap, exact_metre_channel(), venue, CFG)
+    assert (plan.tx_power_dbm, plan.faps[0].target_snr_db) == (0.0, 15.0)
+    assert plan.fgw_position == (49.0, 50.0, 10.0)
+    assert_sweep_matches_reference(snap, exact_metre_channel(), venue, CFG)
+
+
+def test_underflowing_radius_raises_as_the_reference():
+    trace, snap = sweep_reference.trace_snapshot(1000, 0)
+    channel = replace(trace.channel, noise_power_dbm=7000.0)
+    with pytest.raises(ValueError) as caught:
+        plan_snapshot(snap, channel, trace.venue, CFG, trace.mcs_table())
+    assert str(caught.value) == "sphere radius must be positive and finite, not 0.0"
+    assert type(caught.value) is ValueError
+    assert_sweep_matches_reference(snap, channel, trace.venue, CFG, trace.mcs_table())
+
+
+HUGE_CEILING = """
+from dataclasses import replace
+from gpqm import PlannerConfig, generate_rwm, plan_snapshot
+trace = generate_rwm(3, 100.0, seed=1000)
+channel = replace(trace.channel, max_tx_power_dbm=1e9)
+print(repr(plan_snapshot(trace.snapshots()[0], channel, trace.venue, PlannerConfig(),
+                         trace.mcs_table())))
+"""
+
+
+def test_huge_power_ceiling_plans_without_building_the_ladder():
+    # A ladder of 10^9 rungs held as a list would need some 32 GB; under a
+    # 1 GiB address-space limit the child fails with MemoryError instead.
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(sweep_reference.__file__).parents[1] / "src")
+    child = subprocess.run(
+        [sys.executable, "-c", HUGE_CEILING], capture_output=True, text=True, timeout=60,
+        preexec_fn=limit, env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert child.returncode == 0, child.stderr
+    trace, snap = sweep_reference.trace_snapshot(1000, 0)
+    expected = plan_snapshot(snap, trace.channel, trace.venue, CFG, trace.mcs_table())
+    assert expected.tx_power_dbm == 23.0
+    assert child.stdout.strip() == repr(expected)
