@@ -85,11 +85,15 @@ def friis_snr_db(params: ChannelParams, tx_power_dbm: float, distance_m: float) 
     return tx_power_dbm + base
 
 
+def log10_max_distance(params: ChannelParams, tx_power_dbm: float, target_snr_db: float) -> float:
+    """log10 of `max_distance_m`, with every digit where that distance is subnormal or inf."""
+    return (link_budget_constant_db(params) + tx_power_dbm - target_snr_db) / 20.0
+
+
 def max_distance_m(params: ChannelParams, tx_power_dbm: float, target_snr_db: float) -> float:
     """Largest distance at which the link still reaches the target SNR (inf past float range)."""
-    exponent = (link_budget_constant_db(params) + tx_power_dbm - target_snr_db) / 20.0
     try:
-        return 10.0 ** exponent
+        return 10.0 ** log10_max_distance(params, tx_power_dbm, target_snr_db)
     except OverflowError:
         return math.inf
 
@@ -111,6 +115,13 @@ class McsEntry:
     min_snr_db: float
     phy_rate_bps: float
     fair_share_bps: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.min_snr_db):
+            raise ValueError(f"MCS {self.index}: min SNR must be finite, not {self.min_snr_db}")
+        for name, bps in (("PHY rate", self.phy_rate_bps), ("fair share", self.fair_share_bps)):
+            if not 0.0 < bps < math.inf:
+                raise ValueError(f"MCS {self.index}: {name} must be positive and finite, not {bps}")
 
 
 @dataclass(frozen=True)

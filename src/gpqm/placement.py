@@ -249,6 +249,12 @@ def _deepest_point(spheres: list[SphereConstraint]) -> tuple[Point, bool]:
     return best, False
 
 
+def _check_centers(spheres: list[SphereConstraint], venue: Venue) -> None:
+    for s in spheres:
+        if not venue.contains(s.center):
+            raise ValueError(f"sphere center {s.center} lies outside the venue")
+
+
 def compute_fgw_pos(spheres: list[SphereConstraint], venue: Venue) -> PlacementResult:
     """Deepest admissible gateway position, or an infeasible result.
 
@@ -256,9 +262,7 @@ def compute_fgw_pos(spheres: list[SphereConstraint], venue: Venue) -> PlacementR
     """
     if not spheres:
         raise ValueError("at least one sphere constraint is required")
-    for s in spheres:
-        if not venue.contains(s.center):
-            raise ValueError(f"sphere center {s.center} lies outside the venue")
+    _check_centers(spheres, venue)
 
     # Pairwise spheres must intersect for the full intersection to exist.
     for a, b in itertools.combinations(spheres, 2):
@@ -331,12 +335,13 @@ def sphere_pair_analysis(
     Grid seeding at 1 m plus local refinement; admissibility matches
     compute_fgw_pos (both spheres, venue, altitude, separation).
     """
+    spheres = [first, second]
+    _check_centers(spheres, venue)
     d = math.dist(first.center, second.center)
     if d > first.radius_m + second.radius_m:
         return OverlapAnalysis("disjoint", None, None, None, None)
     overlap = "full" if d <= abs(first.radius_m - second.radius_m) else "partial"
 
-    spheres = [first, second]
     min_sep = venue.min_separation_m
 
     def admissible(p: Point) -> bool:

@@ -9,10 +9,10 @@ loss.
 
 The sweep skips the powers that provably admit no gateway: those at which
 some FAP's range is shorter than the protection distance, or some pair of
-FAPs stands farther apart than its two ranges reach. Ranges never shrink as
-the power rises, so these powers form a prefix of the power ladder; a
-galloping search and a bisection find its end in O(log) probes, and the
-sweep places the gateway from there on as a rung-by-rung scan would.
+FAPs stands farther apart than its two ranges reach. Under Friis every range
+grows by the same factor with the power, so these powers lie below one
+floor, computed once from the link budget at the bottom rung; from the
+floor on, the sweep places the gateway as a rung-by-rung scan would.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from dataclasses import astuple, dataclass, replace
 from operator import attrgetter
 from typing import ClassVar
 
-from .channel import ChannelParams, McsTable, default_mcs_table, max_distance_m
+from .channel import (
+    ChannelParams, McsTable, default_mcs_table, log10_max_distance, max_distance_m,
+)
 from .errors import (
     AggregateCapacityError,
     DelayInfeasibleError,
@@ -45,8 +47,8 @@ class PlannerConfig:
     """Planner settings; the power sweep climbs from `min_tx_power_dbm` by `power_step_db`.
 
     A step of at least 0.01 dB keeps the ladder to at most 3001 rungs up to
-    the default 30 dBm ceiling; the sweep probes O(log) of the rungs below
-    its first candidate power and places the gateway from there on.
+    the default 30 dBm ceiling; the sweep tries to place the gateway only on
+    the rungs at or above its power floor.
     """
 
     min_tx_power_dbm: ClassVar[float] = 0.0
@@ -147,67 +149,44 @@ def plan_snapshot(
             f"{usable / 1e6:.1f} Mbit/s"
         )
 
-    # Rung i of the power ladder, None above the ceiling; built as far as read,
-    # since the ceiling only has to be finite.
-    powers: list[float] = []
-    ceiling = channel.max_tx_power_dbm + 1e-9
-
-    def power_at(i: int) -> float | None:
-        while len(powers) <= i:
-            power = powers[-1] + config.power_step_db if powers else config.min_tx_power_dbm
-            if not power <= ceiling:
-                return None
-            powers.append(power)
-        return powers[i]
-
     positions = [fap.position for fap in snapshot.faps]
     targets = [f.target_snr_db for f in fap_plans]
-    pairs = [
-        (i, j, math.dist(positions[i], positions[j]))
-        for i, j in itertools.combinations(range(len(positions)), 2)
-    ]
 
-    def hopeless(power: float) -> bool:
-        """No gateway at this power: a range under the protection distance, or
-        a pair of FAPs out of reach of each other (compute_fgw_pos's own test).
-
-        A range outside (0, inf) is never hopeless, so the sweep reaches it
-        and SphereConstraint rejects it.
-        """
-        radii = [max_distance_m(channel, power, t) for t in targets]
-        if not all(0.0 < r < math.inf for r in radii):
-            return False
-        return min(radii) < venue.min_separation_m or any(
-            d > radii[i] + radii[j] for i, j, d in pairs
-        )
-
-    def stops(i: int) -> bool:
-        power = power_at(i)
-        return power is None or not hopeless(power)
-
-    # Radii rise with the power, so once every radius is positive `stops` is
-    # false on a prefix of the ladder and true after it. Gallop over rungs 0,
-    # 1, 3, 7, ... to the first rung where it holds, then bisect below it.
-    lo, hi = -1, 0
-    while not stops(hi):
-        lo, hi = hi, 2 * hi + 1
-    i = bisect.bisect_left(range(hi), True, lo + 1, key=stops)
-
-    while (power := power_at(i)) is not None:
-        spheres = [
-            SphereConstraint(position, max_distance_m(channel, power, t))
-            for position, t in zip(positions, targets)
+    # Below floor_dbm some FAP's range is short of the protection distance, or
+    # some pair of FAPs is out of reach, so compute_fgw_pos admits no gateway.
+    # Under Friis every range grows by 10^((P - P0) / 20) from its value at
+    # the bottom rung P0, so a distance d that a range r at P0 must reach
+    # needs P >= P0 + 20 (log10 d - log10 r), with log10(r_i + r_j) for a
+    # pair. The logarithms come from the link budget, not from the ranges,
+    # which lose digits where subnormal; 1e-9 dB is left for rounding. A
+    # bottom range outside (0, inf) leaves -inf: SphereConstraint rejects it.
+    power = config.min_tx_power_dbm
+    floor_dbm = -math.inf
+    if all(0.0 < max_distance_m(channel, power, t) < math.inf for t in targets):
+        logs = [log10_max_distance(channel, power, t) for t in targets]
+        reaches = [(venue.min_separation_m, min(logs))] + [
+            (math.dist(positions[i], positions[j]),
+             max(a, b) + math.log10(1.0 + 10.0 ** -abs(a - b)))
+            for (i, a), (j, b) in itertools.combinations(enumerate(logs), 2)
         ]
-        placement = compute_fgw_pos(spheres, venue)
-        if placement.feasible:
-            return GpqmPlan(
-                t_s=snapshot.t_s,
-                tx_power_dbm=power,
-                fgw_position=placement.position,
-                faps=tuple(fap_plans),
-                margins_m=placement.margins_m,
-            )
-        i += 1
+        terms = [power + 20.0 * (math.log10(d) - lg) for d, lg in reaches if d > 0.0]
+        floor_dbm = max(terms, default=-math.inf) - 1e-9
+    while power <= channel.max_tx_power_dbm + 1e-9:
+        if power >= floor_dbm:
+            spheres = [
+                SphereConstraint(position, max_distance_m(channel, power, t))
+                for position, t in zip(positions, targets)
+            ]
+            placement = compute_fgw_pos(spheres, venue)
+            if placement.feasible:
+                return GpqmPlan(
+                    t_s=snapshot.t_s,
+                    tx_power_dbm=power,
+                    fgw_position=placement.position,
+                    faps=tuple(fap_plans),
+                    margins_m=placement.margins_m,
+                )
+        power += config.power_step_db
     raise PlacementInfeasibleError(
         f"no gateway position at any power up to {channel.max_tx_power_dbm} dBm "
         f"(snapshot t={snapshot.t_s} s)"

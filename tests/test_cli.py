@@ -423,9 +423,12 @@ SIM = ["simulate", "--scenario", "s.json", "--policy", "venue-center", "--out", 
         [*SIM, "--bootstrap", "nan", "--measure", "1"],
         [*SIM, "--bootstrap", "1", "--measure", "inf"],
         ["generate", "--planar-z", "100", "--duration", "12", "--out", "s.json"],
+        ["analyze", "pair", "--fap", "500,50,10", "--fap", "30,50,10", "--snr", "35",
+         "--snr", "35", "--power", "0", "--out", "pair.json"],
     ],
     ids=["planar-z", "demand", "pair-power", "pair-snr", "pair-power-overflow",
-         "baseline-power", "bootstrap", "measure", "planar-z-above-venue"],
+         "baseline-power", "bootstrap", "measure", "planar-z-above-venue",
+         "pair-disjoint-outside-venue"],
 )
 def test_exit_usage_on_nan_flag(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -673,13 +676,16 @@ def _set(key, value):
         ("plan", "plan file: missing keys ['plans']", lambda d: d.pop("plans")),
         ("plan", "config_echo: update_period_s must be positive and finite",
          lambda d: d["config_echo"].update(update_period_s=math.nan)),
+        ("scenario", "MCS 7: fair share must be positive and finite, not nan",
+         _set("mcs_overrides", [{"index": 7, "min_snr_db": 35.0, "phy_rate_bps": 585e6,
+                                 "fair_share_bps": math.nan}])),
     ],
     ids=["fap-entry", "venue", "faps", "mcs-overrides", "mobility-str", "plans", "plan-entry",
          "t-null", "fgw-int", "plan-faps", "plan-fap-entry", "fgw-two-numbers",
          "plan-unknown-top", "plan-unknown-echo", "plan-unknown-entry", "period-nan", "power-nan",
          "fgw-inf", "plan-fap-nan", "queue-negative", "plan-lacks-fap", "plan-extra-fap",
          "both-demands", "no-demand", "plan-lacks-t", "fap-lacks-id", "lacks-duration",
-         "lacks-plans", "update-period-nan"],
+         "lacks-plans", "update-period-nan", "mcs-share-nan"],
 )
 def test_exit_usage_names_malformed_file_shape(tmp_path, capsys, file, named, edit):
     scenario, plan = tmp_path / "s.json", tmp_path / "p.json"

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpqm.planner
 from gpqm import (
     AggregateCapacityError,
     ChannelParams,
@@ -28,6 +29,7 @@ from gpqm import (
     SphereConstraint,
     Venue,
     check_formulation,
+    compute_fgw_pos,
     default_mcs_table,
     feasibility_margin,
     generate_rwm,
@@ -37,7 +39,7 @@ from gpqm import (
     plan_series_to_json,
     plan_snapshot,
 )
-from gpqm.channel import link_budget_constant_db
+from gpqm.channel import link_budget_constant_db, log10_max_distance
 from gpqm.scenario import DemandProfile, FapState, FapTrace, ScenarioTrace, Snapshot
 
 import sweep_reference
@@ -543,3 +545,67 @@ def test_huge_power_ceiling_plans_without_building_the_ladder():
     expected = plan_snapshot(snap, trace.channel, trace.venue, CFG, trace.mcs_table())
     assert expected.tx_power_dbm == 23.0
     assert child.stdout.strip() == repr(expected)
+
+
+# --- the power floor ---------------------------------------------------------
+
+
+# One FAP at the venue centre whose demand takes MCS 6 (29.8 dB) when alone.
+MCS6_SNAPSHOT = Snapshot(0.0, (FapState("f", (50.0, 50.0, 10.0), 400e6),))
+
+
+def fence_rung_config() -> PlannerConfig:
+    """A power step whose first rung is the lowest at which an MCS-6 FAP's
+    range reaches the 3 m fence on the default channel, while the planner's
+    power floor without its 1e-9 dB margin lies above that rung. Found by a
+    scan over power steps."""
+    config = PlannerConfig(power_step_db=1.187383348561081)
+    fence, rung = VENUE.min_separation_m, config.power_step_db
+    assert max_distance_m(CH, 0.0, 29.8) < fence <= max_distance_m(CH, rung, 29.8)
+    assert 20.0 * (math.log10(fence) - log10_max_distance(CH, 0.0, 29.8)) > rung
+    return config
+
+
+def test_rung_where_the_range_just_reaches_the_fence_is_tried():
+    plan = plan_snapshot(MCS6_SNAPSHOT, CH, VENUE, fence_rung_config())
+    assert (plan.tx_power_dbm, plan.faps[0].target_snr_db) == (1.187383348561081, 29.8)
+    assert math.dist(plan.fgw_position, (50.0, 50.0, 10.0)) == VENUE.min_separation_m
+    assert_sweep_matches_reference(MCS6_SNAPSHOT, CH, VENUE, fence_rung_config())
+
+
+@pytest.mark.parametrize(
+    "make, noise_dbm",
+    [
+        (lambda: sweep_reference.trace_snapshot(1000, 0), 6200.0),
+        (lambda: (generate_rwm(1, 1.0, seed=0), MCS6_SNAPSHOT), 6263.812616631439),
+    ],
+    ids=["distance-over-range-overflows", "range-loses-digits"],
+)
+def test_subnormal_bottom_ranges_plan_as_the_reference(make, noise_dbm):
+    # The bottom-rung ranges are subnormal. In the first case 3 m over such a
+    # range overflows; in the second, found by a scan over the noise, the
+    # range keeps too few digits to place the floor within 1e-9 dB of the
+    # power the reference plans at.
+    trace, snap = make()
+    channel = replace(trace.channel, noise_power_dbm=noise_dbm, max_tx_power_dbm=7000.0)
+    config = PlannerConfig(power_step_db=50.0)
+    plan = plan_snapshot(snap, channel, trace.venue, config, trace.mcs_table())
+    assert 0.0 < max_distance_m(channel, 0.0, plan.faps[0].target_snr_db) < sys.float_info.min
+    assert plan.tx_power_dbm == 6350.0
+    assert_sweep_matches_reference(snap, channel, trace.venue, config, trace.mcs_table())
+
+
+def test_fenced_snapshots_place_the_gateway_at_most_twice(monkeypatch):
+    calls = []
+
+    def counted(spheres, venue):
+        calls.append(spheres)
+        return compute_fgw_pos(spheres, venue)
+
+    monkeypatch.setattr(gpqm.planner, "compute_fgw_pos", counted)
+    for seed, index in sweep_reference.FENCED_SNAPSHOTS:
+        trace, snap = sweep_reference.trace_snapshot(seed, index)
+        for config in (CFG, PlannerConfig(power_step_db=0.37)):
+            calls.clear()
+            plan_snapshot(snap, trace.channel, trace.venue, config, trace.mcs_table())
+            assert 1 <= len(calls) <= 2, (seed, index, config)

@@ -287,11 +287,22 @@ _CONSTANT = DemandProfile(constant_bps=1e6)
         lambda: MobilityParams(planar_z_m=math.nan),
         lambda: FapTrace("f", ((0.0, math.nan, 1.0, 5.0),), _CONSTANT),
         lambda: FapTrace("f", ((0.0, 1.0, 1.0, 5.0), (math.inf, 2.0, 2.0, 5.0)), _CONSTANT),
+        lambda: McsEntry(9, math.nan, 780e6, 312e6),
+        lambda: McsEntry(9, math.inf, 780e6, 312e6),
+        lambda: McsEntry(9, 41.2, math.nan, 312e6),
+        lambda: McsEntry(9, 41.2, math.inf, 312e6),
+        lambda: McsEntry(9, 41.2, -780e6, 312e6),
+        lambda: McsEntry(9, 41.2, 780e6, math.nan),
+        lambda: McsEntry(9, 41.2, 780e6, math.inf),
+        lambda: McsEntry(9, 41.2, 780e6, -1.0),
+        lambda: McsEntry(9, 41.2, 780e6, 0.0),
     ],
     ids=["venue-x-nan", "venue-z-inf", "venue-separation-nan", "carrier-inf", "noise-nan",
          "bandwidth-nan", "max-power-nan", "rician-k-nan", "demand-nan", "demand-inf",
          "schedule-rate-nan", "schedule-time-nan", "speed-inf", "pause-nan", "planar-z-nan",
-         "waypoint-nan", "waypoint-time-inf"],
+         "waypoint-nan", "waypoint-time-inf", "mcs-snr-nan", "mcs-snr-inf", "mcs-rate-nan",
+         "mcs-rate-inf", "mcs-rate-negative", "mcs-share-nan", "mcs-share-inf",
+         "mcs-share-negative", "mcs-share-zero"],
 )
 def test_constructors_reject_nan_and_misplaced_infinity(make):
     with pytest.raises(ValueError):
