@@ -246,11 +246,15 @@ def rician_snr_sample(mean_snr_db: float, k_factor_db: float, rng) -> float:
     """One Rician fade applied to a mean SNR, unit mean linear power.
 
     `rng` is a random.Random-style source; only gauss() is used. An infinite
-    K factor returns the mean unchanged.
+    K factor, or a finite one whose linear value overflows a float (above
+    about 3082 dB), returns the mean unchanged without drawing from `rng`.
     """
     if math.isinf(k_factor_db) and k_factor_db > 0:
         return mean_snr_db
-    k = 10.0 ** (k_factor_db / 10.0)
+    try:
+        k = 10.0 ** (k_factor_db / 10.0)
+    except OverflowError:
+        return mean_snr_db
     nu = math.sqrt(k / (k + 1.0))
     sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
     x = rng.gauss(nu, sigma)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .channel import ChannelParams, McsEntry, McsTable, default_mcs_table
 from .placement import Point, Venue
+from .queueing import PACKET_BITS
 
 Waypoint = tuple[float, float, float, float]  # (t_s, x, y, z)
 
@@ -62,6 +63,13 @@ class DemandProfile:
         times = [t for t, _ in self.schedule]
         if times != sorted(times):
             raise ValueError("demand schedule must be time-ordered")
+        # A Poisson source draws its gaps at rate demand / PACKET_BITS.
+        for bps in (self.constant_bps, *(bps for _, bps in self.schedule)):
+            if bps and bps / PACKET_BITS == 0.0:
+                raise ValueError(
+                    f"demand {bps!r} bit/s is too small: its rate in packets per second "
+                    f"underflows to 0"
+                )
 
     def at(self, t_s: float) -> float:
         if self.constant_bps is not None:

@@ -5,13 +5,17 @@ of total allocated capacity over (x, y, z, tx power), with capacity taken
 from either the linear SNR-to-share regression or the Shannon bound.
 Constraint handling is a quadratic exterior penalty; feasibility is always
 re-judged by direct constraint evaluation, never by penalty value. The
+swarm scores its particles with a fitness built once per problem that
+returns `evaluate`'s penalised objective bit for bit; `evaluate` remains
+the audit and picks the returned point among the personal bests. The
 optimum sits exactly on the delay-bound surface (surplus capacity is pure
 cost), so the audit accepts normalised magnitudes up to 1e-6 — about 10 ns
 of sojourn against the default bound — as solver-precision noise, the way
 any continuous NLP solver states a feasibility tolerance.
 
 Links carry DEFAULT_PACKET_SIZE_BYTES packets, as in the planner and the
-simulator. Both capacity models come from `channel.capacity_bps`. The
+simulator. Both capacity models come from `channel.capacity_bps`, whose
+arithmetic the swarm's fitness repeats operation for operation. The
 regression model's aggregate cap and the swarm's coefficients are module
 constants; the cap is computed once, at import.
 """
@@ -26,6 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import (
+    _REGRESSION,
     CAPACITY_MODELS,
     ChannelParams,
     McsTable,
@@ -33,6 +38,7 @@ from .channel import (
     capacity_bps,
     default_mcs_table,
     friis_snr_db,
+    link_budget_constant_db,
 )
 from .errors import PlanningError
 from .placement import Point, Venue
@@ -198,10 +204,62 @@ class SolverResult:
     fitness_history: tuple[float, ...]
 
 
-def _fitness(problem: OptProblem, x) -> float:
-    ev = evaluate(problem, x)
-    penalty = _PENALTY_WEIGHT * sum(m * m for _, m in ev.violations)
-    return ev.objective_bps / 1e6 + penalty
+def _swarm_fitness(problem: OptProblem):
+    """The swarm's fitness for one problem: `evaluate`'s penalised objective.
+
+    The returned function takes a row (x, y, z, tx power) of Python floats
+    and returns `objective_bps / 1e6 + _PENALTY_WEIGHT * sum(m * m)` over
+    `evaluate(problem, row).violations`, bit for bit: the same operations in
+    the same order, with the problem's constants read once here instead of
+    on every call. The power-range and venue terms are left out because
+    they are exactly 0 for every row the swarm scores: `solve_pso` clips
+    each row to `problem.bounds`, which are the venue and the power range.
+    """
+    k_db = link_budget_constant_db(problem.channel)
+    faps = tuple((f.position, f.demand_bps) for f in problem.snapshot.faps)
+    regression = problem.capacity_model == "regression"
+    slope, intercept = _REGRESSION.slope_bps_per_db, _REGRESSION.intercept_bps
+    bandwidth = problem.channel.bandwidth_hz
+    min_sep = problem.venue.min_separation_m
+    bound_s = problem.delay_threshold_s
+    cap_limit = problem.effective_aggregate_cap_bps
+
+    def fitness(row) -> float:
+        px, py, pz, p_tx = row
+        pos = (px, py, pz)
+        total = pen = 0.0
+        for fap_pos, demand in faps:
+            d = math.dist(pos, fap_pos)
+            if d < 1e-6:
+                d = 1e-6
+            snr = p_tx + (k_db - 20.0 * math.log10(d))
+            if regression:
+                cap = slope * snr + intercept
+                if not cap > 0.0:
+                    cap = 0.0
+            else:
+                cap = bandwidth * math.log2(1.0 + 10.0 ** (snr / 10.0))
+            total += cap
+            m = (demand - cap) / 1e6
+            if m > FEASIBILITY_TOL:
+                pen += m * m
+            m = min_sep - d
+            if m > FEASIBILITY_TOL:
+                pen += m * m
+            rho = demand / cap if cap > 0.0 else math.inf
+            if rho < 1.0:
+                delay = (2.0 - rho) / (2.0 * (cap / PACKET_BITS) * (1.0 - rho))
+                m = (delay - bound_s) / bound_s
+                if m > FEASIBILITY_TOL:
+                    pen += m * m
+            else:
+                pen += _SATURATED_DELAY_MAGNITUDE * _SATURATED_DELAY_MAGNITUDE
+        m = (total - cap_limit) / 1e6
+        if m > FEASIBILITY_TOL:
+            pen += m * m
+        return total / 1e6 + _PENALTY_WEIGHT * pen
+
+    return fitness
 
 
 def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -> SolverResult:
@@ -213,10 +271,11 @@ def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -
     span = hi - lo
     v_max = _VELOCITY_CLAMP * span
 
+    fitness = _swarm_fitness(problem)
     s = params.swarm
     x = lo + span * rng.random((s, 4))
     vel = np.zeros((s, 4))
-    fits = np.array([_fitness(problem, row) for row in x])
+    fits = np.array([fitness(row) for row in x.tolist()])
     pbest = x.copy()
     pbest_fit = fits.copy()
     g_idx = int(np.argmin(pbest_fit))
@@ -234,7 +293,7 @@ def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -
         )
         np.clip(vel, -v_max, v_max, out=vel)
         x = np.clip(x + vel, lo, hi)
-        fits = np.array([_fitness(problem, row) for row in x])
+        fits = np.array([fitness(row) for row in x.tolist()])
         improved = fits < pbest_fit
         pbest[improved] = x[improved]
         pbest_fit[improved] = fits[improved]

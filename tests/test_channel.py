@@ -265,6 +265,17 @@ def test_rician_infinite_k_passthrough():
     assert rician_snr_sample(25.0, math.inf, rng) == 25.0
 
 
+@pytest.mark.parametrize("k_db", [3083.0, 1e10, 1.7e308])
+def test_rician_overflowing_k_returns_the_mean_without_drawing(k_db):
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert rician_snr_sample(25.0, k_db, rng) == 25.0
+    assert rng.getstate() == state
+    # 10^308.2 is still a float: the fade is drawn.
+    rician_snr_sample(25.0, 3082.0, rng)
+    assert rng.getstate() != state
+
+
 def test_rician_mean_power_monte_carlo():
     rng = random.Random(42)
     n = 1_000_000

@@ -473,6 +473,52 @@ def test_exit_usage_on_nan_in_scenario(tmp_path, command, section, key):
     assert cli.main([*argv, "--scenario", str(scenario)]) == 2
 
 
+BASELINE_SIM = ["simulate", "--policy", "venue-center", "--queue", "droptail",
+                "--bootstrap", "0.5", "--measure", "0.5"]
+
+
+def test_rician_k_too_large_for_a_float_simulates_as_no_fading(tmp_path):
+    scenario = tmp_path / "s.json"
+    assert cli.main(["generate", "--faps", "2", "--duration", "4", "--seed", "1",
+                     "--out", str(scenario)]) == 0
+    data = json.loads(scenario.read_text())
+    written = {}
+    for k_db in (1e10, math.inf, 13.0):
+        data["channel"]["rician_k_db"] = k_db
+        scenario.write_text(json.dumps(data))
+        out = tmp_path / f"m{k_db}"
+        assert cli.main([*BASELINE_SIM, "--scenario", str(scenario), "--out", str(out)]) == 0
+        written[k_db] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert written[1e10] == written[math.inf]
+    assert written[13.0] != written[math.inf]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        None,
+        lambda fap: fap.update(demand_bps=1e-320),
+        lambda fap: _drop_demand(fap).update(demand_schedule=[[0.0, 1e6], [2.0, 1e-320]]),
+    ],
+    ids=["generate", "constant", "schedule"],
+)
+def test_exit_usage_names_a_demand_whose_packet_rate_underflows(tmp_path, capsys, edit):
+    scenario, metrics = tmp_path / "s.json", tmp_path / "m"
+    generate = ["generate", "--faps", "2", "--duration", "4", "--seed", "1",
+                "--out", str(scenario)]
+    if edit is None:
+        assert cli.main([*generate, "--demand", "1e-320", "--demand", "1e6"]) == 2
+        assert not scenario.exists()
+    else:
+        assert cli.main(generate) == 0
+        data = json.loads(scenario.read_text())
+        edit(data["faps"][0])
+        scenario.write_text(json.dumps(data))
+        assert cli.main([*BASELINE_SIM, "--scenario", str(scenario), "--out", str(metrics)]) == 2
+        assert not metrics.exists()
+    assert "demand 1e-320 bit/s" in capsys.readouterr().err
+
+
 def test_exit_usage_when_plan_missing_for_gpqm(tmp_path):
     scenario = tmp_path / "s.json"
     assert cli.main([

@@ -15,6 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpqm import (
     ChannelParams,
@@ -39,7 +41,7 @@ from gpqm import (
     solve_pso,
     solver_plan,
 )
-from gpqm.solver import random_static_instance
+from gpqm.solver import _PENALTY_WEIGHT, _swarm_fitness, random_static_instance
 
 CH = ChannelParams()
 VENUE = Venue()
@@ -223,6 +225,58 @@ def test_three_fap_objective_bracketed_by_grid_and_bound():
     assert upper < math.inf
     assert res.objective_bps >= lower * (1.0 - 1e-9)
     assert res.objective_bps <= upper * 1.001
+
+
+# --- swarm fitness ----------------------------------------------------------
+
+def _coordinate(lo: float, hi: float):
+    """A float in [lo, hi], often exactly a face."""
+    return st.sampled_from((lo, hi)) | st.floats(lo, hi)
+
+
+@st.composite
+def fitness_cases(draw):
+    """A problem of 1-5 FAPs inside the swarm's box, and rows the swarm could score.
+
+    Rows sit on faces, at corners and at FAP centres (the 1e-6 m distance
+    clamp, a separation violation); at 0 dBm far from a FAP a regression
+    link carries nothing and takes the saturated magnitude 1e3. Half the
+    problems put one FAP's demand just under its link's capacity at one of
+    the rows, where the M/D/1 delay crosses the bound.
+    """
+    model = draw(st.sampled_from(("regression", "shannon")))
+    space = ((0.0, VENUE.x_max_m), (0.0, VENUE.y_max_m), (VENUE.min_altitude_m, VENUE.z_max_m))
+    faps = [
+        FapState(f"f{i}", tuple(draw(_coordinate(*b)) for b in space), draw(st.floats(1e5, 1e9)))
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    problem = OptProblem(snapshot=Snapshot(0.0, tuple(faps)), channel=CH, venue=VENUE,
+                         capacity_model=model)
+    anywhere = st.tuples(*(_coordinate(*b) for b in problem.bounds)).map(list)
+    at_fap = st.tuples(st.sampled_from(faps), _coordinate(*problem.bounds[3])).map(
+        lambda fp: [*fp[0].position, fp[1]])
+    rows = draw(st.lists(anywhere | at_fap, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        i, row = draw(st.integers(0, len(faps) - 1)), draw(st.sampled_from(rows))
+        d = max(math.dist(row[:3], faps[i].position), 1e-6)
+        cap = problem.capacity_bps(friis_snr_db(CH, row[3], d))
+        if cap > 0.0:
+            faps[i] = replace(faps[i], demand_bps=cap * draw(st.floats(0.99, 1.0)))
+            problem = replace(problem, snapshot=Snapshot(0.0, tuple(faps)))
+    return problem, rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fitness_cases())
+def test_swarm_fitness_is_the_audits_penalised_objective_bit_for_bit(case):
+    problem, rows = case
+    fitness = _swarm_fitness(problem)
+    for row in rows:
+        ev = evaluate(problem, row)
+        penalty = 0.0
+        for _, m in ev.violations:
+            penalty = penalty + m * m
+        assert fitness(row) == ev.objective_bps / 1e6 + _PENALTY_WEIGHT * penalty, (row, ev)
 
 
 # --- solver behaviour -------------------------------------------------------
