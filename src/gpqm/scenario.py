@@ -162,6 +162,12 @@ class ScenarioTrace:
         ids = [f.fap_id for f in self.faps]
         if len(set(ids)) != len(ids):
             raise ValueError("FAP ids must be unique")
+        z, venue = self.mobility.planar_z_m, self.venue
+        if z is not None and not venue.min_altitude_m <= z <= venue.z_max_m:
+            raise ValueError(
+                f"planar altitude {z} m outside the venue's "
+                f"[{venue.min_altitude_m}, {venue.z_max_m}] m"
+            )
 
     def fap(self, fap_id: str) -> FapTrace:
         for f in self.faps:
@@ -215,11 +221,6 @@ def _random_waypoints(
 ) -> tuple[Waypoint, ...]:
     if not math.isfinite(duration_s):
         raise ValueError(f"duration must be positive and finite, not {duration_s}")
-    z = mobility.planar_z_m
-    if z is not None and not venue.min_altitude_m <= z <= venue.z_max_m:
-        raise ValueError(
-            f"planar altitude {z} m outside the venue's [{venue.min_altitude_m}, {venue.z_max_m}] m"
-        )
     pos = _random_point(rng, venue, mobility)
     t = 0.0
     points = [(t, *pos)]
@@ -410,22 +411,24 @@ _FAP_DEFAULTS = {"waypoints": None, "demand_bps": None, "demand_schedule": None}
 def scenario_from_json(data: dict) -> ScenarioTrace:
     """Build a trace from the JSON schema; missing waypoints are regenerated.
 
-    Every FAP's waypoints are drawn from the stored seed in file order and
-    replaced by the file's own where it has them, so a file without any
-    waypoints reloads to the exact trace `generate_rwm` would produce.
+    If some FAP lacks waypoints, every FAP's are drawn from the stored seed in
+    file order and replaced by the file's own where it has them, so a file
+    without any waypoints reloads to the exact trace `generate_rwm` would
+    produce. A file with every FAP's waypoints draws none.
     """
     data = _section("scenario", data, _SCENARIO_KEYS, _SCENARIO_DEFAULTS)
     venue = _from_dict(Venue, data["venue"])
     mobility = _from_dict(MobilityParams, data["mobility"])
     duration = float(data["duration_s"])
     gen_rng = random.Random(data["seed"])
+    draw = any(entry.get("waypoints") is None for entry in data["faps"])
     faps = []
     for i, entry in enumerate(data["faps"]):
         where = f"FAP {entry['id']}" if "id" in entry else f"faps[{i}]"
         entry = _section(where, entry, _FAP_KEYS, _FAP_DEFAULTS)
         if (entry["demand_bps"] is None) == (entry["demand_schedule"] is None):
             raise ValueError(f"{where}: needs exactly one of demand_bps and demand_schedule")
-        wps = _random_waypoints(gen_rng, venue, mobility, duration)
+        wps = _random_waypoints(gen_rng, venue, mobility, duration) if draw else None
         if entry["waypoints"] is not None:
             wps = _rows(where, "waypoints", entry["waypoints"], 4)
         if entry["demand_bps"] is not None:

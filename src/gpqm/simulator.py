@@ -13,12 +13,12 @@ a total event order, so identical inputs reproduce bit-identical metrics.
 Ticks, once per whole second, set positions, rates, scheduled queue limits,
 Poisson's rate and AIMD's ceiling (on/off reads the demand at each packet): a
 tick runs after every event due before it and before any event due at its
-instant. FAPs interact only at ticks, so between two ticks each FAP runs its
-own loop over its two pending events, the next arrival and the next
+instant. FAPs interact only at ticks, so from one tick to the next each FAP
+runs its own loop over its two pending events, the next arrival and the next
 departure; within a FAP, events due at the same time run in the order they
-were scheduled. The FAPs' delay samples and packet records are then merged in
-the time order of the events that made them; across FAPs, outputs at one
-instant are recorded in FAP order.
+were scheduled. Each FAP keeps its delay samples and packet records in the
+order of its own events, and a run's outputs are the FAPs' outputs one FAP
+after another, in scenario order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from math import log
 from typing import NamedTuple
 
@@ -42,9 +41,6 @@ _RED_WEIGHT = 0.002
 _CODEL_TARGET_S = 0.005
 _CODEL_INTERVAL_S = 0.1
 _CODEL_LIMIT_PKTS = 1000
-# FAPs run alone for this long between merges of their outputs: a short slice
-# keeps the merge's buffers, and so the run's peak memory, small.
-_MERGE_EVERY_S = 1.0 / 16.0
 
 PLACEMENTS = ("gpqm", "centroid", "venue-center", "fixed")
 QUEUES = ("scheduled", "droptail", "red", "codel")
@@ -241,9 +237,9 @@ class _Fap:
     """One FAP's source, queue and server, run on its own from tick to tick.
 
     Its pending events are the next arrival and the next departure; of two due
-    at one time, the one scheduled first runs first. Outputs wait in `delays`
-    and `records`, each beside the time of the event that made it, until
-    `simulate` merges them with the other FAPs'.
+    at one time, the one scheduled first runs first. Its delay samples and
+    packet records collect in `delays` and `records`, in the order of the
+    events that made them.
     """
 
     def __init__(self, i: int, trace_fap, config: SimConfig, thr_bins: list[float]):
@@ -266,9 +262,7 @@ class _Fap:
         self.arrival_at = self.next_arrival(0.0) if self.demand_bps > 0.0 else math.inf
         self.departure_at = math.inf
         self.arrival_last = True  # whether the pending arrival was scheduled after the departure
-        self.delay_at: list[float] = []
         self.delays: list[float] = []
-        self.record_at: list[float] = []
         self.records: list[PacketRecord] = []
         self.generated = self.delivered = self.dropped = 0
         self.w_generated = self.w_delivered = self.w_dropped = 0
@@ -303,7 +297,6 @@ class _Fap:
         if cfg.traffic == "aimd":
             self.aimd_rate_bps = max(self.aimd_rate_bps * 0.5, PACKET_BITS)
         if cfg.record_packets:
-            self.record_at.append(now)
             self.records.append(PacketRecord(self.trace.fap_id, created, None))
 
     def pull(self, now: float) -> float | None:
@@ -313,9 +306,9 @@ class _Fap:
             self.drop(now, created)
         return pkt
 
-    def run(self, now: float, until: float, tick: bool) -> None:
-        """Run the events due from `now` to before `until`, first serving an
-        idle link if `now` is a tick.
+    def run(self, now: float, until: float) -> None:
+        """Run the events due from the tick at `now` to before `until`, first
+        serving an idle link.
 
         An arrival is counted, then joins the queue or is dropped, starts the
         server if it is idle, then the source schedules its next packet; a
@@ -337,8 +330,7 @@ class _Fap:
         drop = self.drop
         thr = self.thr_bins
         last_bin = len(thr) - 1
-        delay_at, delays = self.delay_at.append, self.delays.append
-        record_at, records = self.record_at.append, self.records.append
+        delays, records = self.delays.append, self.records.append
         rate, prop = self.rate_bps, self.prop_s
         st = PACKET_BITS / rate if rate > 0.0 else math.inf
         mu = rate / PACKET_BITS  # exponential service's packets per second
@@ -347,7 +339,7 @@ class _Fap:
         arrival_last = self.arrival_last
         generated = delivered = w_generated = w_delivered = 0
 
-        if tick and serving is None and rate > 0.0:
+        if serving is None and rate > 0.0:
             serving = pull(now)
             if serving is not None:
                 departure_at = (now + st if srv_random is None
@@ -389,12 +381,10 @@ class _Fap:
                 delivered += 1
                 if lo <= delivered_at < hi:
                     w_delivered += 1
-                    delay_at(now)
                     delays(delivered_at - created)
                     # an offset that rounds up to measure_s belongs to the last bin
                     thr[min(int(delivered_at - lo), last_bin)] += PACKET_BITS
                 if record:
-                    record_at(now)
                     records(PacketRecord(fap_id, created, delivered_at))
                 if aimd:
                     self.aimd_rate_bps = min(self.aimd_rate_bps + PACKET_BITS, self.demand_bps)
@@ -411,25 +401,6 @@ class _Fap:
         self.delivered += delivered
         self.w_generated += w_generated
         self.w_delivered += w_delivered
-
-
-def _merge(out: list, parts: list) -> None:
-    """Extend `out` by the FAPs' outputs in the time order of the events that
-    made them, equal times in FAP order, and empty the FAPs' buffers.
-
-    `parts` holds each FAP's (times, outputs) lists, in FAP order.
-    """
-    full = [p for p in parts if p[0]]
-    if len(full) == 1:
-        out.extend(full[0][1])
-    elif full:
-        times = list(chain.from_iterable(t for t, _ in full))
-        outputs = list(chain.from_iterable(v for _, v in full))
-        # sorted is stable, so equal times keep the FAPs' order
-        out.extend(map(outputs.__getitem__, sorted(range(len(times)), key=times.__getitem__)))
-    for times, outputs in full:
-        times.clear()
-        outputs.clear()
 
 
 def _queue(config: SimConfig, base: int, i: int) -> DropTailQueue:
@@ -519,19 +490,20 @@ def simulate(
     # One bin per started second of the window; the last may cover part of a second.
     thr_bins = [0.0] * math.ceil(config.measure_s)
     faps = [_Fap(i, tf, config, thr_bins) for i, tf in enumerate(trace.faps)]
-    delay_samples: list[float] = []
-    records: list[PacketRecord] = []
     for tb in range(int(math.ceil(duration))):
-        now, end = float(tb), min(tb + 1.0, duration)
-        _tick(config, trace, plan, table, faps, now)
-        tick = True
-        while now < end:
-            until = min(now + _MERGE_EVERY_S, end)
-            for f in faps:
-                f.run(now, until, tick)
-            _merge(delay_samples, [(f.delay_at, f.delays) for f in faps])
-            _merge(records, [(f.record_at, f.records) for f in faps])
-            now, tick = until, False
+        _tick(config, trace, plan, table, faps, float(tb))
+        for f in faps:
+            f.run(float(tb), min(tb + 1.0, duration))
+    # The FAPs' outputs one after another, each FAP's emptied as it joins, so
+    # that no output is held three times: in a FAP's list, the joined list and
+    # the tuple.
+    delays: list[float] = []
+    records: list[PacketRecord] = []
+    for f in faps:
+        delays += f.delays
+        records += f.records
+        f.delays.clear()
+        f.records.clear()
 
     return SimMetrics(
         label=f"{config.placement}-{config.queue}",
@@ -539,7 +511,7 @@ def simulate(
         bootstrap_s=config.bootstrap_s,
         measure_s=config.measure_s,
         throughput_samples_bps=tuple(thr_bins),
-        delay_samples_s=tuple(delay_samples),
+        delay_samples_s=tuple(delays),
         generated=sum(f.generated for f in faps),
         delivered=sum(f.delivered for f in faps),
         dropped=sum(f.dropped for f in faps),

@@ -493,6 +493,19 @@ def test_rician_k_too_large_for_a_float_simulates_as_no_fading(tmp_path):
     assert written[13.0] != written[math.inf]
 
 
+def test_exit_usage_on_planar_altitude_outside_venue_in_complete_file(tmp_path, capsys):
+    # Every FAP keeps its waypoints, so no path is drawn to check the altitude.
+    scenario = tmp_path / "s.json"
+    assert cli.main(["generate", "--faps", "2", "--duration", "6", "--seed", "6",
+                     "--out", str(scenario)]) == 0
+    data = json.loads(scenario.read_text())
+    data["mobility"]["planar_z_m"] = 100.0
+    scenario.write_text(json.dumps(data))
+    assert cli.main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "p.json")]) == 2
+    assert "planar altitude 100.0 m outside" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+import gpqm.scenario
 from gpqm import (
     ChannelParams,
     DemandProfile,
@@ -374,6 +375,20 @@ def test_supplied_waypoints_kept_when_another_fap_lacks_them():
     assert rebuilt.faps[0].waypoints[1:] == trace.faps[0].waypoints[1:]
     # fap1 is drawn from the seed after fap0, as generate_rwm draws it
     assert rebuilt.faps[1].waypoints == trace.faps[1].waypoints
+
+
+def test_file_with_every_path_draws_none(monkeypatch):
+    # A draw at this speed would take practically forever; the file needs none.
+    trace = generate_rwm(n_faps=2, duration_s=6.0, seed=6)
+    data = scenario_to_json(trace)
+    data["mobility"]["speed_max_mps"] = 1e308
+
+    def no_draw(*args):
+        raise AssertionError("drew a path the file already holds")
+
+    monkeypatch.setattr(gpqm.scenario, "_random_waypoints", no_draw)
+    rebuilt = scenario_from_json(data)
+    assert rebuilt == replace(trace, mobility=MobilityParams(speed_max_mps=1e308))
 
 
 @pytest.mark.parametrize(

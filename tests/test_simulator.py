@@ -453,6 +453,27 @@ def test_partial_second_window_keeps_its_tail(measure_s, samples):
 
 GOLDEN_WINDOW = dict(bootstrap_s=0.5, measure_s=1.0, record_packets=True)
 
+
+def golden_digest(trace: ScenarioTrace, m) -> str:
+    """SHA-256 of every field of `m`, packet records included.
+
+    It first checks that the records come grouped by FAP, in scenario order,
+    and that the delay samples are the records' deliveries in the window, in
+    the records' order.
+    """
+    order = {f.fap_id: i for i, f in enumerate(trace.faps)}
+    ranks = [order[p.fap_id] for p in m.packets]
+    assert ranks == sorted(ranks)
+    lo, hi = m.bootstrap_s, m.bootstrap_s + m.measure_s
+    assert m.delay_samples_s == tuple(
+        p.delivered_s - p.created_s for p in m.packets
+        if p.delivered_s is not None and lo <= p.delivered_s < hi
+    )
+    # Tuples of the records' fields repr faster than the dataclasses themselves.
+    rows = [(p.fap_id, p.created_s, p.delivered_s, p.delivered_s is None,
+             None if p.delivered_s is None else p.delivered_s - p.created_s) for p in m.packets]
+    return hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
+
 GOLDEN_CELLS = {
     **{
         f"{queue}-{traffic}": ("rwm", dict(queue=queue, traffic=traffic, queue_size=8))
@@ -478,30 +499,30 @@ GOLDEN_CELLS = {
 }
 
 GOLDEN_SHA256 = {
-    "centroid": "b578e6df94ee116610a0c56dc0955a37729ba4c1b03587ba59c4746c5fc2fafc",
-    "codel-aimd": "e1d3557a885da08a63173150c1c0941beba65bc91fcbef04892032bec2c480cd",
-    "codel-onoff": "d9d278478775203e4529b9bd77e2d3e79e02abec2c14a0efb61b22a4edc7eb49",
-    "codel-poisson": "c5fcbcafb17df8bb373842227754ea1a6606515097202fe88cbbb0a38e1b3015",
-    "droptail-aimd": "13603552a49609c1fcfa3d3ff143e4c96f7b18f121e3ede811346e035ede85a9",
-    "droptail-onoff": "bc13e6bec826bd68897c72b53f06fc652e1f77304858c0848ccabe0d06a9a993",
-    "droptail-poisson": "0c0ff970fc8b9b656d99ed8aa3a9128bdf901e6bfa953ecd4f556fa62db8b5b0",
-    "exponential": "7ecc0f9cfda2346675e8e7effb62050dfb31419ab2cec1df2605097a34ce3212",
+    "centroid": "3e0b433c886d105b29a700170bd0b15c13746bd2b90641b63323fc17c7b93a85",
+    "codel-aimd": "96705b570c794583188496fd5c21743e36b70a052fad06d2bb5d8e7b4512c267",
+    "codel-onoff": "03ce014f68c96d253afe3cae407bf414298198b011f7df6fb69d7b65109d1a9d",
+    "codel-poisson": "3f5491d17c86536f701b1dc7409e66a4d770b403cad4a9135568ee485bfa4158",
+    "droptail-aimd": "a9ff7255d5ecea16beae5a52eb7d11f9f32773a1ae1bf1d61f383e0cf2913590",
+    "droptail-onoff": "003dcea0d9bca2197a560d7f994680619161a28139b14a01c1e5dad0659209c0",
+    "droptail-poisson": "6a30cc06c52e177dda68a9af1b74dba39b6adbb96f052ad7da3251f67c592d9e",
+    "exponential": "8ce9d63dbbcb20c647c6a3bdbe28db3520204744adff547408ba83e2b62b6ab8",
     "onoff-shared-exponential-centroid":
-        "31990f136f1b92eba331df7b7f88a9c80609290bdc9a58211ca901c0a3346867",
-    "red-aimd": "73d02157de346ffecebe4290766363f0d641b5c142cc8c2cdaf0a48edb8ad759",
-    "red-onoff": "601c83608f2721adac4a377caa384220cd1e54a96186f6b6de573603d1e532e0",
-    "red-poisson": "5104e01618f72df7dd07b06ccbc6d37d8834fbcac43029b0927c6f3abed4d877",
-    "schedule-aimd": "40918702a6968da410d944635be288718c1191f497c8d4a548e31387f7bf1bd1",
-    "schedule-onoff": "dded28a36d0cead7f0f266a1f391f39a511ea7e015e905466ef6fa3a547915fc",
-    "schedule-poisson": "37892fbbfe33e21d157e9d0b35c110853be4c994b7a823e536922189435482e6",
-    "scheduled-aimd": "583f27e901e4fe47c8dd9799aeb479b15ae093632be8c8b45fb7d445fcec02e1",
-    "scheduled-onoff": "46f377edaff41ca582bd816a225e06bedb430f45527ac0eed2fc00ce91f8a8bc",
-    "scheduled-poisson": "1b57c61b4d4c4ab7fef3ca50a4e8b2af9d69e7b93bdaa0f587d85c4ea73f54a3",
-    "shared-nofade": "6e7e5bc81e46f5efa617f01366ddfe6687c5436f68c07ad5a936011f34310868",
-    "silent-aimd": "7ca5d208ee12420832946fce79ac7d1f83f20ad76d1cf5a27b494f14ea71f453",
-    "silent-onoff": "e9711efe16da730041346dca6d326a74fe4a1f0cea558f6b888d9d2e8e79e040",
-    "silent-poisson": "5b488afbdeb4c448fa32044c9b6018c1f72f1d49c7767296e8c3a94b54c1b914",
-    "venue-center": "fd8d25f9c5c3af8cba2ae2245bd593e70eede31d19bf4d714b6b8b971c7bd78b",
+        "98ca86859b7c072201d5535d7d96b1a2324600a77055ed828ed3ae6189500bfd",
+    "red-aimd": "ea81c49fbd087c8349ae7301d9fa6ac533a4e464bd9030034c09255b222882a3",
+    "red-onoff": "2fb2c8e853cbf971731194d4763f2e5a22765d3aed5e3642c435ab2231a6ae91",
+    "red-poisson": "64991ff67d9b7e896f987cf6415befdea81884ffa25f8943eca187ea8dba998b",
+    "schedule-aimd": "8f0650d128d579a9f3d47f2cbc1f5ef5819b42fbb5c25496656c23a2c1fb6cda",
+    "schedule-onoff": "2f2bd3cb7ae0c7e63acbbb4b77f2a194859d87e468a847cfa8aa68d56b4c94ec",
+    "schedule-poisson": "b1a80334ecf280c343f28d693afec3566c44c872b222f29041bc0dc5e84db33a",
+    "scheduled-aimd": "146d501fe30a29b41de248643694227a9094a4d8078003673b50e940f0d35ef1",
+    "scheduled-onoff": "611e144f7eaa5e03591657a74ffc98c27ed4a0b22218686e0665920f6a152ba3",
+    "scheduled-poisson": "72aa573e83a67317f81bf1298c58e5f3f836038d0775e93f04f50e13bccc57ba",
+    "shared-nofade": "2a790fb285bc9ec58ffe2b9bc1b4c158aa83270f2fe6354499e5815fb22e52e9",
+    "silent-aimd": "5d9ee5b7f2f75873e8ba0545b030849baf581d09ef59f0bb9e16c2dc2828ec69",
+    "silent-onoff": "e7644a2969fc5644af052aa9613b6ca46e6d7339eda92fa88292c107a3578ec4",
+    "silent-poisson": "e29e134f80d48c60e31b635245dc60bfe87502035fd0463186523a00e758b231",
+    "venue-center": "364e5ae38c45d0f31a439bcd4e5ea4bbce88802c1710a8ab1eeb6f70b66d68e6",
 }
 
 
@@ -525,22 +546,19 @@ def test_golden_outputs(golden_inputs, cell):
     kind, kw = GOLDEN_CELLS[cell]
     trace, plan = golden_inputs[kind]
     m = simulate(trace, SimConfig(**GOLDEN_WINDOW, **kw), plan=plan)
-    # Tuples of the records' fields repr faster than the dataclasses themselves.
-    rows = [(p.fap_id, p.created_s, p.delivered_s, p.delivered_s is None,
-             None if p.delivered_s is None else p.delivered_s - p.created_s) for p in m.packets]
-    digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
-    assert digest == GOLDEN_SHA256[cell]
+    assert golden_digest(trace, m) == GOLDEN_SHA256[cell]
 
 
 # Three identical static FAPs equidistant from the venue centre, fading off and
-# deterministic service: their events keep falling at equal times. AIMD has
-# 110 846 pairs of equal-time events of different FAPs in this window, on/off
-# fewer. These pin the rule that outputs at one instant are recorded in FAP
-# order. The hashes were computed with a global event heap, which ran two of
-# the on/off pairs out of FAP order without changing any output.
+# deterministic service: their events keep falling at equal times. In this
+# window AIMD has 110 846 pairs of equal-time events of different FAPs next to
+# each other in time order, on/off 10 318; on/off also has 5 arrivals due at the
+# instant of a departure of their own FAP. These pin the FAP-major order of the
+# outputs, which such cross-FAP ties must not disturb, and the within-FAP rule
+# that of two events due at one time the one scheduled first runs first.
 TIE_SHA256 = {
-    "aimd": "e29fead9d63e88ce76597f8bfac0383cec6de41663f95682e98646c955e1b366",
-    "onoff": "9f1f0b16b692cd209fe938911c75c6c4120fdd3af6f4e8f9041f0d039cfc3f49",
+    "aimd": "a6f3d5a4139de7e6b7f333de2bbe17e0b86a48472982b2b8e4f93ea40b0ec235",
+    "onoff": "1008cafe6b5e5457037956ef7704c060160917651bd433681fb3e34a866697e6",
 }
 
 
@@ -552,18 +570,13 @@ def test_golden_cross_fap_ties(traffic):
                     queue="droptail", queue_size=6, traffic=traffic, fading=False,
                     service_mode="deterministic", record_packets=True)
     m = simulate(trace, cfg)
-    # the digest of test_golden_outputs
-    rows = [(p.fap_id, p.created_s, p.delivered_s, p.delivered_s is None,
-             None if p.delivered_s is None else p.delivered_s - p.created_s) for p in m.packets]
-    digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
-    assert digest == TIE_SHA256[traffic]
+    assert golden_digest(trace, m) == TIE_SHA256[traffic]
 
 
 # Two static FAPs under gpqm placement whose plan drops the power to -60 dBm,
 # where no MCS is reachable, for [1, 2) s and restores 20 dBm at 2 s. Packets
 # queue at a link whose rate is 0, and the tick at 2 s serves the idle link
-# with packets waiting, a path no cell above reaches. The hashes were computed
-# before the engine did each event's work in its own branch.
+# with packets waiting, a path no cell above reaches.
 OUTAGE_CELLS = [
     (queue, traffic, service)
     for queue in ("scheduled", "droptail", "red", "codel")
@@ -572,46 +585,46 @@ OUTAGE_CELLS = [
 ]
 
 OUTAGE_SHA256 = {
-    "codel-aimd-deterministic": "438cfce17c7177281a287bf88faf02e953b8510e9c68479e7f5a93ec3da91863",
-    "codel-aimd-exponential": "a3105544f0ad4ca600dc7789cbd3a4ae2840684a635c063f0876357093475b97",
+    "codel-aimd-deterministic": "978422143c742cff0e6f056c4db9de85e35ec00199d084e8bfcee5513b2e0204",
+    "codel-aimd-exponential": "29516308fb89338adf85a2de0a7d954b3292ffcf2f4bf05e02ab3c686bb6a653",
     "codel-onoff-deterministic":
-        "a3e19798b6f2cef41a9c03038060fcb1e03474f7a9b5c21034f7fbbedd300929",
-    "codel-onoff-exponential": "ffccade9cdec4d282162285b5849ba307c32de0c1bfe06d5e254d55bfb758976",
+        "54c8d12c2f952477b0cc562c815539acbb9604e5954700f0b654e01eb8502a11",
+    "codel-onoff-exponential": "f6d10eea3bf18e592bb5f015a7cf4230f8732b607a2a99c89c8eabc2ae76368b",
     "codel-poisson-deterministic":
-        "a5c2724cb83e391a5a8f177faeded8d96eeea49bc93bbe545fd66f862fd8d067",
+        "e9eed8ca036527e8b9ebad280c595238dff4221c06d771f1b14c9e09e99ff310",
     "codel-poisson-exponential":
-        "2d1ceb836fc9271a06c7a9cde1b2943d138679a9b37a43a6505a7b0a43464f66",
+        "91c489c794ab723b7e2831c61ef2a39eb6418922e4b43f41b8c6d1703d96bd11",
     "droptail-aimd-deterministic":
-        "6f96556ac36b5ea51135a71603552e98e338292a38da606db8bb23addf9a7748",
+        "2dabd570abf118ee889fbd5506d119958e21697ae8b54cd6879b807ecce82181",
     "droptail-aimd-exponential":
-        "6040ab6c9ef8cc2683c82ea9ae08ed8a386c6998e7e8f8e347d311cccbdf01a3",
+        "8494ff78e83bde922d0978a2ade0f4ee3009027de64bf0e916eb3d34483034bf",
     "droptail-onoff-deterministic":
-        "e44b0673a7319c9baf7e2a4287c7c0ba60db9a4541b0c285df240b2d33d197c5",
+        "908ea4b617c53305f7ff60f38a82d320608a715b7c84fcf343690b04b9b70dbb",
     "droptail-onoff-exponential":
-        "5a2943b84432502c1c87de84dc09f8c3ead8291dfaecf342517a2101919195a7",
+        "33b18e32308af37f5a746ff8d142b18072c40e5a3b5e8b60507922444ef8b142",
     "droptail-poisson-deterministic":
-        "16e702c52e106b9e9efd81b69f5e6fc0a44f20fa86bc0a88aa2c3702aaa8c448",
+        "9e9964924b6454a5bf96ac809b813005ecf90da1ad50bea03739923e05b64f24",
     "droptail-poisson-exponential":
-        "cc0a8a6d3d289eb29d464473b288f2eb2f33247d1219fe39ac1992603c63b1fd",
-    "red-aimd-deterministic": "f04db6d6c250700798ecb0fcfba351c82b3d237b879c21c4a6f98ac4943105e0",
-    "red-aimd-exponential": "d336536e7ccb7c397813d6ca8e0b64f2bb33f9d9b04422b379ad35242c2459bf",
-    "red-onoff-deterministic": "2256b98aa5cac46e790490c3ce4c98f2c58d77526539089dfe8334b9f660cd3d",
-    "red-onoff-exponential": "fd3452114358a9499a47dd53e1ea5f1e77c502421f6dcca817fb8811d034bb7c",
+        "6bb0be2d8363f5f2c496fa78f640101ba69bcd68878f7aafe90a3b5dd3b05973",
+    "red-aimd-deterministic": "1949c931b892e75acece4272658e6c4de09bbc06bc4a826bf4bab69c18630e92",
+    "red-aimd-exponential": "53f079fce4aacd3a9e0efd31ff4ab283d9eec06930134dabce83e740c50fdad0",
+    "red-onoff-deterministic": "097392be6e05c56bbeacedf2a5563144b97a23d0fc028b4b4344cd18539f0f05",
+    "red-onoff-exponential": "905d7537e56fc6e08c83fab81aa8894631954de812707911d23f9737ba6ef551",
     "red-poisson-deterministic":
-        "0934e0e06a49edb3186b9ba59344f824cadc088d7e701b7cbfe01e2de769afa2",
-    "red-poisson-exponential": "7291d1153c0970ec9fbf87979431f70022764a239d6e839ab9ab40fa486870c0",
+        "5662e285d15e0ea7a9bd5ed96790b186b66e438dc54bef9c5361e01a099d84e5",
+    "red-poisson-exponential": "c69a6581d637bc2b9b9472baa5a4fc400ef0b74c288cbc8941a41d41ca97427f",
     "scheduled-aimd-deterministic":
-        "d91308c0076170dfaf1fd22e8da8e1540422c3cfc9faf29bd25a647743553b9c",
+        "61266eb7563501c47808f8b9b16b81e551db399255c1f94e77ba28e67f5d3553",
     "scheduled-aimd-exponential":
-        "b1358bf0c6c06e1258956c81039daec6c2cc8ede449f5bd08f94703be6e6935c",
+        "89534d77d5fa0ea76473b3282971f691f7cbc8f8f2a955c50ed086557842badd",
     "scheduled-onoff-deterministic":
-        "5c2831d4d8a281c91cbf14df9442771c13cf633ecc1769ec2701b8d535d9d18c",
+        "cd064d8feaef5accaf28188cf83f79b888d4a8c6ee470daf3b91ce496e350e69",
     "scheduled-onoff-exponential":
-        "8744907f89ecdd753c736bf7be761fdea92dd4620c5e69b4aa36ee14d2388c71",
+        "63edc64ad748e4c1e248ad4cd95f5a394a2b52dcdebf62b21427055c8589fa82",
     "scheduled-poisson-deterministic":
-        "863580836b26caab44a638cab03e714113e847b9804e7a3662bc338f4157e571",
+        "c2b214c73f612350c5a6eedab5fb8842ee815c2cd34c8f2410e649028dd7f8d5",
     "scheduled-poisson-exponential":
-        "d77b2df930fe489ab9053aba68a824d03ca4c306ba86b84389482fe33be493e2",
+        "faf4fb160ae6e5974409f9a98ece0f157d7ab3ade6a8b5353eaf68bdec10670c",
 }
 
 
@@ -630,8 +643,4 @@ def test_golden_outage(outage_inputs, queue, traffic, service):
     cfg = SimConfig(bootstrap_s=0.5, measure_s=2.5, seed=5, queue=queue, queue_size=20,
                     traffic=traffic, service_mode=service, record_packets=True)
     m = simulate(trace, cfg, plan=plan)
-    # the digest of test_golden_outputs
-    rows = [(p.fap_id, p.created_s, p.delivered_s, p.delivered_s is None,
-             None if p.delivered_s is None else p.delivered_s - p.created_s) for p in m.packets]
-    digest = hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
-    assert digest == OUTAGE_SHA256[f"{queue}-{traffic}-{service}"]
+    assert golden_digest(trace, m) == OUTAGE_SHA256[f"{queue}-{traffic}-{service}"]
