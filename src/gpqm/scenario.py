@@ -22,6 +22,11 @@ Waypoint = tuple[float, float, float, float]  # (t_s, x, y, z)
 
 DEFAULT_PLANNING_PERIOD_S = 5.0
 
+# A random-waypoint path that would hold more waypoints than this is refused:
+# a default 100 s path at 3 m/s holds about 5, one at 1e6 m/s over 6 s about
+# 10 000, and a path at 1e308 m/s would practically never finish drawing.
+_MAX_WAYPOINTS = 100_000
+
 
 @dataclass(frozen=True)
 class MobilityParams:
@@ -169,12 +174,6 @@ class ScenarioTrace:
                 f"[{venue.min_altitude_m}, {venue.z_max_m}] m"
             )
 
-    def fap(self, fap_id: str) -> FapTrace:
-        for f in self.faps:
-            if f.fap_id == fap_id:
-                return f
-        raise KeyError(f"no FAP {fap_id!r}")
-
     def snapshot_at(self, t_s: float) -> Snapshot:
         if not 0.0 <= t_s <= self.duration_s:
             raise ValueError(f"time {t_s} outside the trace [0, {self.duration_s}]")
@@ -225,6 +224,11 @@ def _random_waypoints(
     t = 0.0
     points = [(t, *pos)]
     while t < duration_s:
+        if len(points) >= _MAX_WAYPOINTS:
+            raise ValueError(
+                f"a random-waypoint path at up to {mobility.speed_max_mps} m/s over "
+                f"{duration_s} s would hold more than {_MAX_WAYPOINTS} waypoints"
+            )
         target = _random_point(rng, venue, mobility)
         speed = rng.uniform(mobility.speed_min_mps, mobility.speed_max_mps)
         leg = math.dist(pos, target) / speed

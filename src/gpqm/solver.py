@@ -5,17 +5,19 @@ of total allocated capacity over (x, y, z, tx power), with capacity taken
 from either the linear SNR-to-share regression or the Shannon bound.
 Constraint handling is a quadratic exterior penalty; feasibility is always
 re-judged by direct constraint evaluation, never by penalty value. The
-swarm scores its particles with a fitness built once per problem that
-returns `evaluate`'s penalised objective bit for bit; `evaluate` remains
-the audit and picks the returned point among the personal bests. The
-optimum sits exactly on the delay-bound surface (surplus capacity is pure
-cost), so the audit accepts normalised magnitudes up to 1e-6 — about 10 ns
-of sojourn against the default bound — as solver-precision noise, the way
-any continuous NLP solver states a feasibility tolerance.
+per-link constraints and the aggregate cap are written once, in the
+per-problem `_constraint_terms`: `evaluate`, the audit, takes those terms
+from it, and the swarm's fitness is the penalised objective over the same
+terms, so the two cannot drift apart. `evaluate` also picks the returned
+point among the personal bests. The optimum sits exactly on the delay-bound
+surface (surplus capacity is pure cost), so the audit accepts normalised
+magnitudes up to 1e-6 — about 10 ns of sojourn against the default bound —
+as solver-precision noise, the way any continuous NLP solver states a
+feasibility tolerance.
 
 Links carry DEFAULT_PACKET_SIZE_BYTES packets, as in the planner and the
 simulator. Both capacity models come from `channel.capacity_bps`, whose
-arithmetic the swarm's fitness repeats operation for operation. The
+arithmetic `_constraint_terms` repeats operation for operation. The
 regression model's aggregate cap and the swarm's coefficients are module
 constants; the cap is computed once, at import.
 """
@@ -123,6 +125,73 @@ class SolverEval:
         return sum(m for _, m in self.violations)
 
 
+def _constraint_terms(problem: OptProblem):
+    """The per-link constraints and the aggregate cap of one problem, written once.
+
+    The returned function takes a row (x, y, z, tx power) of Python floats
+    and returns (total capacity, pen, violations): `pen` is the sum of
+    the squared violation magnitudes, accumulated in order, and `violations`
+    the named ones in `evaluate`'s order. The problem's constants are read and
+    each FAP's violation names formatted once, here. SNR, capacity and delay
+    repeat `channel.friis_snr_db`, `channel.capacity_bps` and
+    `queueing.md1_delay_s` operation for operation; a saturated link carries
+    the fixed magnitude `_SATURATED_DELAY_MAGNITUDE`.
+    """
+    k_db = link_budget_constant_db(problem.channel)
+    faps = tuple(
+        (f.position, f.demand_bps, f"link_capacity:{f.fap_id}",
+         f"min_separation:{f.fap_id}", f"delay_bound:{f.fap_id}")
+        for f in problem.snapshot.faps
+    )
+    regression = problem.capacity_model == "regression"
+    slope, intercept = _REGRESSION.slope_bps_per_db, _REGRESSION.intercept_bps
+    bandwidth = problem.channel.bandwidth_hz
+    min_sep = problem.venue.min_separation_m
+    bound_s = problem.delay_threshold_s
+    cap_limit = problem.effective_aggregate_cap_bps
+
+    def terms(row):
+        px, py, pz, p_tx = row
+        pos = (px, py, pz)
+        total = pen = 0.0
+        violations: list[tuple[str, float]] = []
+        for fap_pos, demand, capacity_name, separation_name, delay_name in faps:
+            d = math.dist(pos, fap_pos)
+            if d < 1e-6:
+                d = 1e-6
+            snr = p_tx + (k_db - 20.0 * math.log10(d))
+            if regression:
+                cap = slope * snr + intercept
+                if not cap > 0.0:
+                    cap = 0.0
+            else:
+                cap = bandwidth * math.log2(1.0 + 10.0 ** (snr / 10.0))
+            total += cap
+            m = (demand - cap) / 1e6
+            if m > FEASIBILITY_TOL:
+                pen += m * m
+                violations.append((capacity_name, m))
+            m = min_sep - d
+            if m > FEASIBILITY_TOL:
+                pen += m * m
+                violations.append((separation_name, m))
+            rho = demand / cap if cap > 0.0 else math.inf
+            m = _SATURATED_DELAY_MAGNITUDE
+            if rho < 1.0:
+                delay = (2.0 - rho) / (2.0 * (cap / PACKET_BITS) * (1.0 - rho))
+                m = (delay - bound_s) / bound_s
+            if m > FEASIBILITY_TOL:
+                pen += m * m
+                violations.append((delay_name, m))
+        m = (total - cap_limit) / 1e6
+        if m > FEASIBILITY_TOL:
+            pen += m * m
+            violations.append(("aggregate_capacity", m))
+        return total, pen, violations
+
+    return terms
+
+
 def evaluate(problem: OptProblem, x) -> SolverEval:
     """Direct constraint audit of a decision vector (x, y, z, tx power).
 
@@ -131,7 +200,6 @@ def evaluate(problem: OptProblem, x) -> SolverEval:
     at or below FEASIBILITY_TOL are solver-precision noise, not violations.
     """
     px, py, pz, p_tx = (float(v) for v in x)
-    pos = (px, py, pz)
     violations: list[tuple[str, float]] = []
 
     below = max(0.0, -p_tx)
@@ -151,36 +219,8 @@ def evaluate(problem: OptProblem, x) -> SolverEval:
     if out > FEASIBILITY_TOL:
         violations.append(("venue_bounds", out))
 
-    total_capacity = 0.0
-    for fap in problem.snapshot.faps:
-        d = max(math.dist(pos, fap.position), 1e-6)
-        snr = friis_snr_db(problem.channel, p_tx, d)
-        cap = problem.capacity_bps(snr)
-        total_capacity += cap
-
-        shortfall = (fap.demand_bps - cap) / 1e6
-        if shortfall > FEASIBILITY_TOL:
-            violations.append((f"link_capacity:{fap.fap_id}", shortfall))
-
-        sep = v.min_separation_m - d
-        if sep > FEASIBILITY_TOL:
-            violations.append((f"min_separation:{fap.fap_id}", sep))
-
-        rho = fap.demand_bps / cap if cap > 0.0 else math.inf
-        if rho < 1.0:
-            delay = md1_delay_s(rho, cap / PACKET_BITS)
-            excess = (delay - problem.delay_threshold_s) / problem.delay_threshold_s
-            if excess > FEASIBILITY_TOL:
-                violations.append((f"delay_bound:{fap.fap_id}", excess))
-        else:
-            violations.append((f"delay_bound:{fap.fap_id}", _SATURATED_DELAY_MAGNITUDE))
-
-    cap_limit = problem.effective_aggregate_cap_bps
-    over = (total_capacity - cap_limit) / 1e6
-    if over > FEASIBILITY_TOL:
-        violations.append(("aggregate_capacity", over))
-
-    return SolverEval(total_capacity, tuple(violations))
+    total_capacity, _, links = _constraint_terms(problem)((px, py, pz, p_tx))
+    return SolverEval(total_capacity, (*violations, *links))
 
 
 @dataclass(frozen=True)
@@ -208,55 +248,16 @@ def _swarm_fitness(problem: OptProblem):
     """The swarm's fitness for one problem: `evaluate`'s penalised objective.
 
     The returned function takes a row (x, y, z, tx power) of Python floats
-    and returns `objective_bps / 1e6 + _PENALTY_WEIGHT * sum(m * m)` over
-    `evaluate(problem, row).violations`, bit for bit: the same operations in
-    the same order, with the problem's constants read once here instead of
-    on every call. The power-range and venue terms are left out because
-    they are exactly 0 for every row the swarm scores: `solve_pso` clips
-    each row to `problem.bounds`, which are the venue and the power range.
+    and returns `objective_bps / 1e6 + _PENALTY_WEIGHT * pen` from the same
+    `_constraint_terms` that `evaluate` audits with, so it cannot drift from
+    the audit. The power-range and venue terms are left out because they are
+    exactly 0 for every row the swarm scores: `solve_pso` clips each row to
+    `problem.bounds`, which are the venue and the power range.
     """
-    k_db = link_budget_constant_db(problem.channel)
-    faps = tuple((f.position, f.demand_bps) for f in problem.snapshot.faps)
-    regression = problem.capacity_model == "regression"
-    slope, intercept = _REGRESSION.slope_bps_per_db, _REGRESSION.intercept_bps
-    bandwidth = problem.channel.bandwidth_hz
-    min_sep = problem.venue.min_separation_m
-    bound_s = problem.delay_threshold_s
-    cap_limit = problem.effective_aggregate_cap_bps
+    terms = _constraint_terms(problem)
 
     def fitness(row) -> float:
-        px, py, pz, p_tx = row
-        pos = (px, py, pz)
-        total = pen = 0.0
-        for fap_pos, demand in faps:
-            d = math.dist(pos, fap_pos)
-            if d < 1e-6:
-                d = 1e-6
-            snr = p_tx + (k_db - 20.0 * math.log10(d))
-            if regression:
-                cap = slope * snr + intercept
-                if not cap > 0.0:
-                    cap = 0.0
-            else:
-                cap = bandwidth * math.log2(1.0 + 10.0 ** (snr / 10.0))
-            total += cap
-            m = (demand - cap) / 1e6
-            if m > FEASIBILITY_TOL:
-                pen += m * m
-            m = min_sep - d
-            if m > FEASIBILITY_TOL:
-                pen += m * m
-            rho = demand / cap if cap > 0.0 else math.inf
-            if rho < 1.0:
-                delay = (2.0 - rho) / (2.0 * (cap / PACKET_BITS) * (1.0 - rho))
-                m = (delay - bound_s) / bound_s
-                if m > FEASIBILITY_TOL:
-                    pen += m * m
-            else:
-                pen += _SATURATED_DELAY_MAGNITUDE * _SATURATED_DELAY_MAGNITUDE
-        m = (total - cap_limit) / 1e6
-        if m > FEASIBILITY_TOL:
-            pen += m * m
+        total, pen, _ = terms(row)
         return total / 1e6 + _PENALTY_WEIGHT * pen
 
     return fitness

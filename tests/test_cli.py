@@ -11,6 +11,9 @@ import io
 import json
 import math
 import shutil
+import signal
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -504,6 +507,66 @@ def test_exit_usage_on_planar_altitude_outside_venue_in_complete_file(tmp_path, 
     assert cli.main(["plan", "--scenario", str(scenario), "--out", str(tmp_path / "p.json")]) == 2
     assert "planar altitude 100.0 m outside" in capsys.readouterr().err
     assert not (tmp_path / "p.json").exists()
+
+
+class _StillRunning(BaseException):
+    """Raised by `_hang_guard`; no `except` clause of the CLI catches it."""
+
+
+@contextmanager
+def _hang_guard(seconds: int):
+    """Fail, instead of hanging, when the body runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise _StillRunning(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _seed6_file_with_drawn_path(tmp_path: Path, speed_max_mps: float) -> Path:
+    """The 2-FAP, 6 s, seed-6 file with faps[1]'s path left to draw at this top speed."""
+    scenario = tmp_path / "s.json"
+    assert cli.main(["generate", "--faps", "2", "--duration", "6", "--seed", "6",
+                     "--out", str(scenario)]) == 0
+    data = json.loads(scenario.read_text())
+    del data["faps"][1]["waypoints"]
+    data["mobility"]["speed_max_mps"] = speed_max_mps
+    scenario.write_text(json.dumps(data))
+    return scenario
+
+
+@pytest.mark.parametrize("case", ["speed", "duration"])
+def test_exit_usage_on_a_random_waypoint_path_too_long_to_draw(tmp_path, capsys, case):
+    out = tmp_path / "out.json"
+    if case == "speed":
+        argv = ["plan", "--scenario", str(_seed6_file_with_drawn_path(tmp_path, 1e308)),
+                "--out", str(out)]
+        named = "at up to 1e+308 m/s over 6.0 s"
+    else:
+        argv = ["generate", "--faps", "1", "--duration", "1e9", "--seed", "1", "--out", str(out)]
+        named = "at up to 3.0 m/s over 1000000000.0 s"
+    capsys.readouterr()
+    with _hang_guard(10):
+        t0 = time.monotonic()
+        assert cli.main(argv) == 2
+        assert time.monotonic() - t0 < 1.0
+    assert f"{named} would hold more than 100000 waypoints" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_fast_random_waypoint_path_under_the_cap_still_plans(tmp_path):
+    # About 10 000 waypoints: drawn in milliseconds, well under the cap.
+    scenario = _seed6_file_with_drawn_path(tmp_path, 1e6)
+    with _hang_guard(10):
+        assert cli.main(["plan", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "p.json")]) == 0
+    assert 5_000 < len(load_scenario(scenario).faps[1].waypoints) < 100_000
 
 
 @pytest.mark.parametrize(

@@ -277,6 +277,26 @@ def test_uncertified_point_falls_back_to_compass_search(monkeypatch):
     assert VENUE.contains(res.position)
 
 
+def test_coplanar_instance_whose_deepest_point_misses_its_certificate():
+    # The best root, of support {2, 3}, misses the certificate by about
+    # 2.3e-9 m, above the 1e-9 m tolerance, with no centres coincident. Its
+    # point lies 0.0012 m from FAP 3, so the fence search runs after the
+    # compass fallback.
+    spheres = [
+        SphereConstraint((65.81005149297108, 80.01787713012037, 5.0), 156.62273902347113),
+        SphereConstraint((42.99075976031358, 68.13780283303323, 5.0), 134.0634176921894),
+        SphereConstraint((46.468328095648495, 14.889386889832867, 5.0), 175.81744186001666),
+        SphereConstraint((45.04095932695263, 93.42118770380453, 5.0), 97.27497166757996),
+    ]
+    _, certified = placement._deepest_point(spheres)
+    assert not certified
+    res = compute_fgw_pos(spheres, VENUE)
+    assert res.feasible
+    assert min(res.margins_m) >= 0.0
+    assert res.separation_slack_m >= 0.0
+    assert VENUE.contains(res.position)
+
+
 def test_placement_is_deterministic():
     spheres = [
         SphereConstraint((50.0, 75.0, 10.0), 143.8),

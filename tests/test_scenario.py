@@ -160,8 +160,6 @@ def test_snapshot_out_of_range_rejected():
         trace.snapshot_at(-1.0)
     with pytest.raises(ValueError):
         trace.snapshot_at(30.5)
-    with pytest.raises(KeyError):
-        trace.fap("nope")
 
 
 def test_schedule_visible_in_snapshots():

@@ -35,13 +35,20 @@ from gpqm import (
     fit_rate_model,
     friis_snr_db,
     link_budget_constant_db,
+    md1_delay_s,
     mm1q_plr,
     run_benchmark,
     shannon_capacity_bps,
     solve_pso,
     solver_plan,
 )
-from gpqm.solver import _PENALTY_WEIGHT, _swarm_fitness, random_static_instance
+from gpqm.solver import (
+    _PENALTY_WEIGHT,
+    FEASIBILITY_TOL,
+    SolverEval,
+    _swarm_fitness,
+    random_static_instance,
+)
 
 CH = ChannelParams()
 VENUE = Venue()
@@ -277,6 +284,37 @@ def test_swarm_fitness_is_the_audits_penalised_objective_bit_for_bit(case):
         for _, m in ev.violations:
             penalty = penalty + m * m
         assert fitness(row) == ev.objective_bps / 1e6 + _PENALTY_WEIGHT * penalty, (row, ev)
+
+
+def _library_audit(problem: OptProblem, row) -> SolverEval:
+    """`evaluate` on an in-bounds row, built from the channel and queueing modules."""
+    total, violations = 0.0, []
+    for fap in problem.snapshot.faps:
+        d = max(math.dist(row[:3], fap.position), 1e-6)
+        cap = problem.capacity_bps(friis_snr_db(CH, row[3], d))
+        total += cap
+        rho = fap.demand_bps / cap if cap > 0.0 else math.inf
+        bound = problem.delay_threshold_s
+        excess = (md1_delay_s(rho, cap / BITS) - bound) / bound if rho < 1.0 else 1e3
+        for name, m in (
+            ("link_capacity", (fap.demand_bps - cap) / 1e6),
+            ("min_separation", VENUE.min_separation_m - d),
+            ("delay_bound", excess),
+        ):
+            if m > FEASIBILITY_TOL:
+                violations.append((f"{name}:{fap.fap_id}", m))
+    over = (total - problem.effective_aggregate_cap_bps) / 1e6
+    if over > FEASIBILITY_TOL:
+        violations.append(("aggregate_capacity", over))
+    return SolverEval(total, tuple(violations))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fitness_cases())
+def test_audit_repeats_the_library_link_arithmetic_bit_for_bit(case):
+    problem, rows = case
+    for row in rows:
+        assert evaluate(problem, row) == _library_audit(problem, row), row
 
 
 # --- solver behaviour -------------------------------------------------------
