@@ -26,6 +26,9 @@ DEFAULT_PLANNING_PERIOD_S = 5.0
 # a default 100 s path at 3 m/s holds about 5, one at 1e6 m/s over 6 s about
 # 10 000, and a path at 1e308 m/s would practically never finish drawing.
 _MAX_WAYPOINTS = 100_000
+# A trace planned at more instants than this is refused when its snapshots are
+# listed: a default 100 s trace has 21, and one of 1e9 s at 5 s would have 2e8.
+_MAX_SNAPSHOTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,11 @@ class ScenarioTrace:
 
     def snapshots(self) -> list[Snapshot]:
         count = math.floor(self.duration_s / self.planning_period_s) + 1
+        if count > _MAX_SNAPSHOTS:
+            raise ValueError(
+                f"a {self.duration_s} s trace planned every {self.planning_period_s} s "
+                f"would hold more than {_MAX_SNAPSHOTS} snapshots"
+            )
         return [self.snapshot_at(k * self.planning_period_s) for k in range(count)]
 
     def mcs_table(self) -> McsTable:

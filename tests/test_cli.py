@@ -569,6 +569,30 @@ def test_a_fast_random_waypoint_path_under_the_cap_still_plans(tmp_path):
     assert 5_000 < len(load_scenario(scenario).faps[1].waypoints) < 100_000
 
 
+def test_exit_usage_on_a_trace_too_long_to_plan_that_still_simulates(tmp_path, capsys):
+    # Every FAP keeps its waypoints, so no path is drawn and the waypoint cap
+    # does not apply; planning every 5 s over 1e9 s would list 2e8 snapshots.
+    scenario = tmp_path / "s.json"
+    assert cli.main(["generate", "--faps", "2", "--duration", "6", "--seed", "6",
+                     "--out", str(scenario)]) == 0
+    data = json.loads(scenario.read_text())
+    data["duration_s"] = 1e9
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "p.json"
+    capsys.readouterr()
+    with _hang_guard(10):
+        t0 = time.monotonic()
+        assert cli.main(["plan", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert time.monotonic() - t0 < 1.0
+    assert ("a 1000000000.0 s trace planned every 5.0 s would hold more than 100000 snapshots"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # The trace itself stays valid: a fixed policy needs no snapshot list.
+    with _hang_guard(10):
+        assert cli.main([*BASELINE_SIM, "--scenario", str(scenario),
+                         "--out", str(tmp_path / "m")]) == 0
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from gpqm import (
 from gpqm import PlannerConfig, plan_snapshot, placement
 from gpqm.channel import capacity_bps
 
+import pair_reference
 import sweep_reference
 
 VENUE = Venue()
@@ -472,3 +474,84 @@ def test_golden_pair_outputs():
             out.append(sphere_pair_analysis(
                 SphereConstraint(*first), SphereConstraint(*second), VENUE, capacity))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == GOLDEN_PAIR_SHA256
+
+
+# --- the pair study's screened grid against the list-based reference -------
+
+def _pair(first, second):
+    return [SphereConstraint(*first), SphereConstraint(*second)]
+
+
+def _assert_pair_matches_reference(spheres, venue=VENUE, capacity=shannon_of_distance):
+    screened = list(placement._admissible_grid(spheres, venue))
+    assert repr(screened) == repr(pair_reference.admissible_grid(spheres, venue))
+    out = sphere_pair_analysis(spheres[0], spheres[1], venue, capacity)
+    assert repr(out) == repr(pair_reference.sphere_pair_analysis(spheres[0], spheres[1], venue,
+                                                                 capacity))
+    return screened
+
+
+@st.composite
+def _pair_geometries(draw):
+    """Two spheres up to 12 m apart per axis, with radii of 2-12 m: with float
+    numbers, or with integer ones, whose grids hold points exactly on a
+    sphere or on the fence."""
+    integer = draw(st.booleans())
+
+    def number(lo: float, hi: float) -> float:
+        return draw(st.integers(lo, hi).map(float) if integer else st.floats(lo, hi))
+
+    center = (number(0, 100), number(0, 100), number(1, 20))
+    other = tuple(min(max(v + number(-12, 12), lo), hi)
+                  for v, lo, hi in zip(center, (0.0, 0.0, 1.0), (100.0, 100.0, 20.0)))
+    return (center, number(2, 12)), (other, number(2, 12))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_pair_geometries(), st.sampled_from([VENUE, NO_FENCE]))
+def test_screened_pair_grid_matches_the_scalar_reference(pair, venue):
+    _assert_pair_matches_reference(_pair(*pair), venue)
+
+
+def _on_boundary(points, spheres, distance):
+    """Points lying exactly `distance` (a radius or the fence) from a centre."""
+    return [p for p in points if any(math.dist(p, s.center) == distance for s in spheres)]
+
+
+def test_pair_grid_points_exactly_on_a_sphere_or_the_fence_are_kept():
+    # Integer centres and radii put grid points exactly on a sphere and exactly
+    # on the 3 m fence, where the screen defers to the scalar test.
+    spheres = _pair(((50.0, 50.0, 10.0), 5.0), ((53.0, 54.0, 10.0), 5.0))
+    screened = _assert_pair_matches_reference(spheres)
+    assert len(_on_boundary(screened, spheres, 5.0)) == 8
+    assert len(_on_boundary(screened, spheres, VENUE.min_separation_m)) == 16
+
+
+def test_pair_extremes_tied_between_mirror_seeds_take_the_first():
+    # Mirror images across x = 50 have equal totals, bit for bit, so the
+    # lowest and the highest totals each fall on several seeds.
+    spheres = _pair(((45.0, 50.0, 10.0), 8.0), ((55.0, 50.0, 10.0), 8.0))
+    screened = _assert_pair_matches_reference(spheres)
+    totals = [shannon_of_distance(math.dist(p, spheres[0].center))
+              + shannon_of_distance(math.dist(p, spheres[1].center)) for p in screened]
+    assert totals.count(max(totals)) > 1
+    assert totals.count(min(totals)) > 1
+
+
+def test_pair_study_on_the_readme_pair_peaks_under_2_mb():
+    """The list-based seeding peaked at 20.3 MB here: it kept all 203 834
+    admissible seeds and their totals. The streamed study keeps two."""
+    ch = ChannelParams()
+    r = max_distance_m(ch, 20.0, 15.0)
+    spheres = _pair(((30.0, 50.0, 10.0), r), ((60.0, 50.0, 10.0), r))
+
+    def capacity(d: float) -> float:
+        return capacity_bps("shannon", ch, friis_snr_db(ch, 20.0, d))
+
+    tracemalloc.start()
+    try:
+        sphere_pair_analysis(spheres[0], spheres[1], VENUE, capacity)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
