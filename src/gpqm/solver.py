@@ -8,12 +8,14 @@ re-judged by direct constraint evaluation, never by penalty value. The
 per-link constraints and the aggregate cap are written once, in the
 per-problem `_constraint_terms`: `evaluate`, the audit, takes those terms
 from it, and the swarm's fitness is the penalised objective over the same
-terms, so the two cannot drift apart. `evaluate` also picks the returned
-point among the personal bests. The optimum sits exactly on the delay-bound
-surface (surplus capacity is pure cost), so the audit accepts normalised
-magnitudes up to 1e-6 — about 10 ns of sojourn against the default bound —
-as solver-precision noise, the way any continuous NLP solver states a
-feasibility tolerance.
+terms, so the two cannot drift apart. The swarm re-scores only the
+particles that moved on each step, and stops once it sits at a fixed point,
+padding `fitness_history` with its global best; `evaluate` picks the
+returned point among the distinct personal bests. The optimum sits exactly
+on the delay-bound surface (surplus capacity is pure cost), so the audit
+accepts normalised magnitudes up to 1e-6 — about 10 ns of sojourn against
+the default bound — as solver-precision noise, the way any continuous NLP
+solver states a feasibility tolerance.
 
 Links carry DEFAULT_PACKET_SIZE_BYTES packets, as in the planner and the
 simulator. Both capacity models come from `channel.capacity_bps`, whose
@@ -264,7 +266,17 @@ def _swarm_fitness(problem: OptProblem):
 
 
 def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -> SolverResult:
-    """Global-best PSO over (x, y, z, tx power); deterministic per seed."""
+    """Global-best PSO over (x, y, z, tx power); deterministic per seed.
+
+    After each step only the particles whose clipped row moved are scored
+    again: the fitness is a pure function of the row, and a row that did not
+    move cannot beat its personal best. Once a step moves no particle and
+    every particle and personal best sits on the global best, the swarm is
+    at a fixed point; the loop stops there and pads `fitness_history` with
+    the global best to `iterations + 1` entries. The final pick audits each
+    distinct personal best once. The result is the one a loop that scores
+    every particle for every iteration returns, bit for bit.
+    """
     params = params or PsoParams()
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in problem.bounds])
@@ -293,8 +305,29 @@ def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -
             + _C_SOCIAL * r2 * (gbest - x)
         )
         np.clip(vel, -v_max, v_max, out=vel)
-        x = np.clip(x + vel, lo, hi)
-        fits = np.array([fitness(row) for row in x.tolist()])
+        x_next = np.clip(x + vel, lo, hi)
+        moved = (x_next != x).any(axis=1)
+        x = x_next
+        # Fixed point: with every row of x and pbest equal to gbest, the r1
+        # and r2 terms of every later step are exact zeros, so each later
+        # velocity is omega times the last, clipped (a no-op, since
+        # |omega * v| <= |v| <= v_max). This step's clip(x + v) left x as it
+        # was, and rounded addition and clipping are monotone, so
+        # clip(x + omega * v), between clip(x + 0) and clip(x + v), leaves x
+        # too: no row moves, no fitness changes, pbest and gbest stay. A zero
+        # term may carry either sign, which can flip only the sign of a zero
+        # velocity; x + (-0.0) is x. The fitness reads a row through
+        # math.dist and p_tx + budget, where the sign of a zero coordinate
+        # cannot change the value, and the returned row is a pbest row, which
+        # changes only on a strict improvement.
+        if not moved.any() and (x == gbest).all() and (pbest == gbest).all():
+            break
+        # A row that did not move keeps its score: the fitness is a pure
+        # function of the row and cannot see the sign of a zero, which `!=`
+        # ignores too.
+        rows = x.tolist()
+        for i in np.flatnonzero(moved).tolist():
+            fits[i] = fitness(rows[i])
         improved = fits < pbest_fit
         pbest[improved] = x[improved]
         pbest_fit[improved] = fits[improved]
@@ -303,11 +336,17 @@ def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -
             gbest = pbest[g_idx].copy()
             gbest_fit = float(pbest_fit[g_idx])
         history.append(gbest_fit)
+    history.extend([gbest_fit] * (params.iterations + 1 - len(history)))
 
+    # Equal rows have equal audits, so audit each distinct personal best once,
+    # keeping its first index: `min` then picks the row it would pick among all.
     # A feasible row's total violation is 0, so feasible rows win by objective.
-    evals = [evaluate(problem, row) for row in pbest]
+    firsts: dict[tuple[float, ...], int] = {}
+    for i, row in enumerate(pbest.tolist()):
+        firsts.setdefault(tuple(row), i)
+    evals = {i: evaluate(problem, pbest[i]) for i in firsts.values()}
     best_i = min(
-        range(len(evals)),
+        evals,
         key=lambda i: (not evals[i].feasible, evals[i].total_violation, evals[i].objective_bps),
     )
     best_ev = evals[best_i]

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpqm import (
@@ -40,6 +40,7 @@ from gpqm import (
     run_benchmark,
     shannon_capacity_bps,
     solve_pso,
+    solver,
     solver_plan,
 )
 from gpqm.solver import (
@@ -49,6 +50,8 @@ from gpqm.solver import (
     _swarm_fitness,
     random_static_instance,
 )
+
+import pso_reference
 
 CH = ChannelParams()
 VENUE = Venue()
@@ -336,6 +339,79 @@ def test_solver_deterministic_per_seed():
     # Different seeds walk different trajectories even when they agree on
     # the clamped corner optimum.
     assert a.fitness_history != c.fitness_history
+
+
+@st.composite
+def swarm_cases(draw):
+    """A problem of 1-4 FAPs, a swarm budget and a swarm seed.
+
+    FAPs often sit on the venue's faces and demands run from links that
+    0 dBm serves to links no power serves, so swarms park on the venue and
+    power bounds, keep moving in power alone, or freeze at a corner.
+    """
+    model = draw(st.sampled_from(("regression", "shannon")))
+    space = ((0.0, VENUE.x_max_m), (0.0, VENUE.y_max_m), (VENUE.min_altitude_m, VENUE.z_max_m))
+    faps = tuple(
+        FapState(f"f{i}", tuple(draw(_coordinate(*b)) for b in space), draw(st.floats(1e6, 4e8)))
+        for i in range(draw(st.integers(1, 4)))
+    )
+    problem = OptProblem(snapshot=Snapshot(0.0, faps), channel=CH, venue=VENUE,
+                         capacity_model=model)
+    params = PsoParams(swarm=draw(st.integers(2, 40)), iterations=draw(st.integers(1, 400)))
+    return problem, draw(st.integers(0, 2**32 - 1)), params
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(swarm_cases())
+# Two particles that sit on the global best, pressed onto the delay bound in
+# the last bits of power, while one's personal best ties it one ulp away:
+# the steps after that still improve, so a stop must also wait for pbest.
+@example((one_fap_problem(), 76, PsoParams(swarm=2, iterations=400)))
+def test_swarm_returns_the_reference_result_bit_for_bit(case):
+    problem, seed, params = case
+    assert repr(solve_pso(problem, seed, params)) == repr(
+        pso_reference.solve_pso(problem, seed, params))
+
+
+def _single_fap_problem(position, demand_bps) -> OptProblem:
+    return OptProblem(snapshot=Snapshot(0.0, (FapState("f0", position, demand_bps),)),
+                      channel=CH, venue=VENUE, capacity_model="shannon")
+
+
+@pytest.mark.parametrize(
+    ("problem", "seed"),
+    [
+        (_single_fap_problem((20.0, 30.0, 10.0), 100e6), 11),
+        (_single_fap_problem((70.0, 60.0, 8.0), 150e6), 11),
+        (OptProblem(snapshot=random_static_instance(10, 3, VENUE, CH), channel=CH,
+                    venue=VENUE, capacity_model="shannon"), 10),
+    ],
+    ids=["ac6-first", "ac6-second", "instance10-shannon-frozen-at-9"],
+)
+def test_default_budget_swarm_returns_the_reference_result_bit_for_bit(problem, seed):
+    assert repr(solve_pso(problem, seed)) == repr(pso_reference.solve_pso(problem, seed))
+
+
+def test_swarm_scores_only_the_particles_that_moved(monkeypatch):
+    # At the default budget AC6's first swarm parks every particle on the
+    # corner (100, 100, 1 m, 0 dBm) by its ninth step; scoring every particle
+    # on every step would take 50 * 2001 = 100 050 calls.
+    scored = 0
+
+    def counting_fitness(problem):
+        fitness = _swarm_fitness(problem)
+
+        def count(row):
+            nonlocal scored
+            scored += 1
+            return fitness(row)
+
+        return count
+
+    monkeypatch.setattr(solver, "_swarm_fitness", counting_fitness)
+    res = solve_pso(one_fap_problem(), seed=11)
+    assert len(res.fitness_history) == 2001
+    assert scored < 1000
 
 
 def test_infeasible_instance_reports_least_violation():
