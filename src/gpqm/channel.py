@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InfeasibleDemandError
 
@@ -64,14 +65,20 @@ class ChannelParams:
         if math.isnan(self.rician_k_db):
             raise ValueError("Rician K factor must be a number (inf means no fading)")
 
+    @cached_property
+    def link_budget_constant_db(self) -> float:
+        """Constant part of the free-space budget, computed on first use: the
+        link-budget functions read it on every call."""
+        return (
+            -20.0 * math.log10(self.carrier_frequency_hz)
+            - 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT_MPS)
+            - self.noise_power_dbm
+        )
+
 
 def link_budget_constant_db(params: ChannelParams) -> float:
     """Constant part of the free-space budget: everything except power and distance."""
-    return (
-        -20.0 * math.log10(params.carrier_frequency_hz)
-        - 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT_MPS)
-        - params.noise_power_dbm
-    )
+    return params.link_budget_constant_db
 
 
 def friis_snr_db(params: ChannelParams, tx_power_dbm: float, distance_m: float) -> float:
@@ -81,13 +88,13 @@ def friis_snr_db(params: ChannelParams, tx_power_dbm: float, distance_m: float) 
     """
     if distance_m <= 0.0:
         raise ValueError("distance must be positive")
-    base = link_budget_constant_db(params) - 20.0 * math.log10(distance_m)
+    base = params.link_budget_constant_db - 20.0 * math.log10(distance_m)
     return tx_power_dbm + base
 
 
 def log10_max_distance(params: ChannelParams, tx_power_dbm: float, target_snr_db: float) -> float:
     """log10 of `max_distance_m`, with every digit where that distance is subnormal or inf."""
-    return (link_budget_constant_db(params) + tx_power_dbm - target_snr_db) / 20.0
+    return (params.link_budget_constant_db + tx_power_dbm - target_snr_db) / 20.0
 
 
 def max_distance_m(params: ChannelParams, tx_power_dbm: float, target_snr_db: float) -> float:

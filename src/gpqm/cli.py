@@ -34,7 +34,6 @@ from .scenario import (
     generate_rwm,
     load_scenario,
     save_scenario,
-    save_waypoints,
 )
 from .simulator import (
     CHANNEL_MODES,
@@ -73,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--planar-z", type=float, default=None,
                    help="fix all FAP altitudes to this height")
     g.add_argument("--out", required=True, help="scenario JSON path")
-    g.add_argument("--waypoints-out", default=None, help="optional waypoint text export")
     g.set_defaults(run=_cmd_generate)
 
     p = sub.add_parser("plan", help="plan a scenario into a plan-series JSON")
@@ -162,8 +160,6 @@ def _cmd_generate(args) -> int:
         **kwargs,
     )
     save_scenario(trace, args.out)
-    if args.waypoints_out:
-        save_waypoints(trace, args.waypoints_out)
     print(f"wrote scenario with {args.faps} FAPs, {args.duration} s, seed {args.seed} -> {args.out}")
     return EXIT_OK
 

@@ -13,7 +13,11 @@ FAPs (Fischer & Gaertner, "The smallest enclosing ball of balls", 2004).
 At most four spheres fix it, and `_deepest_point` solves it exactly by
 trying support sets of one to four spheres: each leaves one quadratic in
 the depth, and the first root that meets the optimality conditions is the
-global minimiser.
+global minimiser. Sets are screened by the pair-depth floor: every pair's
+depth is a lower bound on the optimal depth, so a set whose depth bound lies
+below the deepest pair's cannot hold the minimiser and is not solved. When
+no root certifies, every set is solved again, unscreened, so that the
+uncertified fallback is the deepest candidate of all of them.
 
 Compass search with a shrinking step remains only as the fallback, started
 from the exact point, in two cases: where that point lies outside the venue
@@ -36,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +241,46 @@ def _support_roots(support: tuple[SphereConstraint, ...]) -> list[tuple[float, P
     return out
 
 
+def _depth_bound(support: tuple[SphereConstraint, ...]) -> float:
+    """Upper bound on the depth t of any root of `support` that passes the
+    weight test of `_support_roots`.
+
+    Such a root's point is a convex combination of the support's centres at
+    which every support sphere's gap dist - r equals t: the KKT point of
+    minimising the largest of those gaps, so t is that minimum, and no more
+    than the largest gap at any point. A spurious root, with dist(p, c_i) =
+    -(t + r_i) > 0 for some i, is such a point for radii grown by 2 dist, so
+    its t is that minimum for larger spheres, which is no higher. The bound is
+    exact for one sphere (-r) and for two, and takes the best of the centres
+    and their centroid for three or four.
+    """
+    if len(support) == 1:
+        return -support[0].radius_m
+    if len(support) == 2:
+        a, b = support
+        return max(-a.radius_m, -b.radius_m,
+                   0.5 * (math.dist(a.center, b.center) - a.radius_m - b.radius_m))
+    centres = [s.center for s in support]
+    centroid = tuple(sum(c[k] for c in centres) / len(centres) for k in range(3))
+    return min(_coverage_gap(q, support) for q in (*centres, centroid))
+
+
+def _solve_supports(
+    spheres: list[SphereConstraint], supports: Iterable[tuple[SphereConstraint, ...]]
+) -> tuple[Point, bool]:
+    """The first certified root among `supports`, else the deepest candidate
+    among them, uncertified."""
+    best_gap, best = math.inf, spheres[0].center
+    for support in supports:
+        for t, p in _support_roots(support):
+            gap = _coverage_gap(p, spheres)
+            if gap <= t + _CERTIFY_TOL_M:
+                return p, True
+            if gap < best_gap:
+                best_gap, best = gap, p
+    return best, False
+
+
 def _deepest_point(spheres: list[SphereConstraint]) -> tuple[Point, bool]:
     """Minimiser of max_i(dist(p, c_i) - r_i) over all of space, and whether
     it is certified.
@@ -244,19 +288,38 @@ def _deepest_point(spheres: list[SphereConstraint]) -> tuple[Point, bool]:
     Support sets of 1-4 spheres are tried in order of size. A root whose
     point has a coverage gap of at most t (+_CERTIFY_TOL_M), every sphere
     counted, meets the KKT conditions of the convex problem, so the first
-    such root is the global minimiser. Should rounding leave no root
-    certified, the deepest candidate is returned uncertified.
+    such root is the global minimiser.
+
+    Sets are screened by the pair-depth floor. Every pair's exact depth,
+    computed once per call, is a lower bound on the optimal depth t*, and a certified root has a depth of
+    at least t* - _CERTIFY_TOL_M, so a set whose `_depth_bound` lies below
+    the deepest pair's depth, less a margin, cannot hold it and is skipped.
+    The margin, 1e-4 of the inputs' reach (largest radius plus coordinate)
+    and never under 1e-4 m, covers the tolerance and rounding. The bounds and
+    the floor err by a few ulps of the reach; a root's depth by at most about
+    the Gram matrix's condition number times that, which `_SINGULAR` keeps
+    under about 7e10, so under 2e-5 of the reach. A spurious root obeys the
+    same bound (see `_depth_bound`), so it cannot certify inside the margin
+    either.
+
+    Should rounding leave no root certified, every set is solved again, with
+    no screen, and the deepest candidate among them is returned uncertified.
     """
-    best_gap, best = math.inf, spheres[0].center
-    for size in range(1, min(4, len(spheres)) + 1):
-        for support in itertools.combinations(spheres, size):
-            for t, p in _support_roots(support):
-                gap = _coverage_gap(p, spheres)
-                if gap <= t + _CERTIFY_TOL_M:
-                    return p, True
-                if gap < best_gap:
-                    best_gap, best = gap, p
-    return best, False
+    def sets(size: int) -> Iterator[tuple[SphereConstraint, ...]]:
+        return itertools.combinations(spheres, size)
+
+    pairs = list(sets(2))
+    depths = list(map(_depth_bound, pairs))
+    reach = max(s.radius_m + max(map(abs, s.center)) for s in spheres)
+    floor = max(depths, default=-math.inf) - 1e-4 * max(1.0, reach)
+    found = _solve_supports(spheres, itertools.chain(
+        (s for s in sets(1) if _depth_bound(s) >= floor),
+        (pair for pair, depth in zip(pairs, depths) if depth >= floor),
+        (s for s in itertools.chain(sets(3), sets(4)) if _depth_bound(s) >= floor),
+    ))
+    if found[1]:
+        return found
+    return _solve_supports(spheres, itertools.chain.from_iterable(map(sets, range(1, 5))))
 
 
 def _check_centers(spheres: list[SphereConstraint], venue: Venue) -> None:

@@ -79,6 +79,13 @@ class DemandProfile:
                     f"underflows to 0"
                 )
 
+    @property
+    def peak_bps(self) -> float:
+        """The largest demand over all time."""
+        if self.constant_bps is not None:
+            return self.constant_bps
+        return max(bps for _, bps in self.schedule)
+
     def at(self, t_s: float) -> float:
         if self.constant_bps is not None:
             return self.constant_bps
@@ -294,34 +301,6 @@ def generate_rwm(
 
 
 # --- file formats ---------------------------------------------------------
-
-
-def save_waypoints(trace: ScenarioTrace, path: str | Path) -> None:
-    """Plain-text waypoint export, one `<fap_id> <t_s> <x> <y> <z>` per line."""
-    lines = []
-    for f in trace.faps:
-        for t, x, y, z in f.waypoints:
-            lines.append(f"{f.fap_id} {t!r} {x!r} {y!r} {z!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_waypoints(path: str | Path) -> dict[str, tuple[Waypoint, ...]]:
-    """Parse a waypoint text file into per-FAP ordered waypoint tuples."""
-    out: dict[str, list[Waypoint]] = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"waypoint line {ln}: expected 5 fields, got {len(parts)}")
-        fap_id = parts[0]
-        try:
-            t, x, y, z = (float(v) for v in parts[1:])
-        except ValueError as exc:
-            raise ValueError(f"waypoint line {ln}: {exc}") from None
-        out.setdefault(fap_id, []).append((t, x, y, z))
-    return {k: tuple(sorted(v)) for k, v in out.items()}
 
 
 def _to_dict(obj, rename: dict[str, str] | None = None) -> dict:

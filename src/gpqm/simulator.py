@@ -47,6 +47,11 @@ QUEUES = ("scheduled", "droptail", "red", "codel")
 TRAFFIC_MODELS = ("poisson", "onoff", "aimd")
 CHANNEL_MODES = ("independent", "shared")
 SERVICE_MODES = ("deterministic", "exponential")
+# A run whose sources would send more packets than this at their peak demands
+# is refused: at the 1.2-2.6 us a packet costs, that is one to two minutes of
+# simulation. The largest run of the tests, the README and the benchmark (the
+# congested scenarios of acceptance test AC4) expects 2.2 million.
+_MAX_PACKETS = 50_000_000
 # The percentile every report gives: SimMetrics.percentiles (and so
 # summary.json and the benchmark CSV) and `gpqm analyze cdf`.
 PERCENTILE = 90.0
@@ -469,6 +474,12 @@ def simulate(
     if trace.duration_s + 1e-9 < duration:
         raise ValueError(
             f"trace covers {trace.duration_s} s but the run needs {duration} s"
+        )
+    expected = sum(f.demand.peak_bps for f in trace.faps) / PACKET_BITS * duration
+    if expected > _MAX_PACKETS:
+        raise ValueError(
+            f"the run would send about {expected:.3g} packets at peak demand, more than "
+            f"{_MAX_PACKETS}: lower the demands or shorten the run"
         )
     if config.placement == "gpqm" or config.queue == "scheduled":
         if plan is None:

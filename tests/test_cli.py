@@ -40,7 +40,6 @@ def pipeline(tmp_path_factory) -> dict:
     """generate -> plan -> simulate (gpqm and baseline) -> analyze."""
     root = tmp_path_factory.mktemp("flow")
     scenario = root / "scenario.json"
-    waypoints = root / "waypoints.txt"
     plan = root / "plan.json"
     gpqm_dir = root / "gpqm"
     base_dir = root / "baseline"
@@ -48,7 +47,7 @@ def pipeline(tmp_path_factory) -> dict:
 
     assert cli.main([
         "generate", "--faps", "3", "--duration", "40", "--seed", "6",
-        "--out", str(scenario), "--waypoints-out", str(waypoints),
+        "--out", str(scenario),
     ]) == 0
     assert cli.main([
         "plan", "--scenario", str(scenario), "--out", str(plan),
@@ -67,7 +66,7 @@ def pipeline(tmp_path_factory) -> dict:
         "--metrics", str(gpqm_dir / "seed2"), "--out", str(cdf),
     ]) == 0
     return {
-        "scenario": scenario, "waypoints": waypoints, "plan": plan,
+        "scenario": scenario, "plan": plan,
         "gpqm": gpqm_dir, "baseline": base_dir, "cdf": cdf,
     }
 
@@ -76,7 +75,6 @@ def test_generate_writes_loadable_scenario(pipeline):
     trace = load_scenario(pipeline["scenario"])
     assert len(trace.faps) == 3
     assert trace.duration_s == 40.0
-    assert pipeline["waypoints"].read_text().strip()
 
 
 def test_generate_cycles_demand_fractions(tmp_path):
@@ -591,6 +589,33 @@ def test_exit_usage_on_a_trace_too_long_to_plan_that_still_simulates(tmp_path, c
     with _hang_guard(10):
         assert cli.main([*BASELINE_SIM, "--scenario", str(scenario),
                          "--out", str(tmp_path / "m")]) == 0
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda fap: fap.update(demand_bps=1e12),
+        lambda fap: _drop_demand(fap).update(demand_schedule=[[0.0, 1e6], [0.7, 1e12]]),
+    ],
+    ids=["constant", "schedule"],
+)
+def test_exit_usage_on_a_demand_too_large_to_simulate(tmp_path, capsys, edit):
+    # 1e12 bit/s over 0.5 + 0.5 s is about 8.9e7 packets: the engine would run
+    # for minutes (0.7 s at 1e10 bit/s, 3.8 s at 1e11, growing linearly).
+    scenario, metrics = tmp_path / "s.json", tmp_path / "m"
+    assert cli.main(["generate", "--faps", "2", "--duration", "6", "--seed", "6",
+                     "--out", str(scenario)]) == 0
+    data = json.loads(scenario.read_text())
+    edit(data["faps"][1])
+    scenario.write_text(json.dumps(data))
+    capsys.readouterr()
+    with _hang_guard(10):
+        t0 = time.monotonic()
+        assert cli.main([*BASELINE_SIM, "--scenario", str(scenario), "--out", str(metrics)]) == 2
+        assert time.monotonic() - t0 < 1.0
+    assert "the run would send about 8.93e+07 packets at peak demand, more than 50000000" in (
+        capsys.readouterr().err)
+    assert not metrics.exists()
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from gpqm import (
 from gpqm import PlannerConfig, plan_snapshot, placement
 from gpqm.channel import capacity_bps
 
+import deepest_reference
 import pair_reference
 import sweep_reference
 
@@ -279,17 +280,21 @@ def test_uncertified_point_falls_back_to_compass_search(monkeypatch):
     assert VENUE.contains(res.position)
 
 
+# Four coplanar spheres whose deepest point misses its certificate.
+UNCERTIFIED = [
+    SphereConstraint((65.81005149297108, 80.01787713012037, 5.0), 156.62273902347113),
+    SphereConstraint((42.99075976031358, 68.13780283303323, 5.0), 134.0634176921894),
+    SphereConstraint((46.468328095648495, 14.889386889832867, 5.0), 175.81744186001666),
+    SphereConstraint((45.04095932695263, 93.42118770380453, 5.0), 97.27497166757996),
+]
+
+
 def test_coplanar_instance_whose_deepest_point_misses_its_certificate():
     # The best root, of support {2, 3}, misses the certificate by about
     # 2.3e-9 m, above the 1e-9 m tolerance, with no centres coincident. Its
     # point lies 0.0012 m from FAP 3, so the fence search runs after the
     # compass fallback.
-    spheres = [
-        SphereConstraint((65.81005149297108, 80.01787713012037, 5.0), 156.62273902347113),
-        SphereConstraint((42.99075976031358, 68.13780283303323, 5.0), 134.0634176921894),
-        SphereConstraint((46.468328095648495, 14.889386889832867, 5.0), 175.81744186001666),
-        SphereConstraint((45.04095932695263, 93.42118770380453, 5.0), 97.27497166757996),
-    ]
+    spheres = UNCERTIFIED
     _, certified = placement._deepest_point(spheres)
     assert not certified
     res = compute_fgw_pos(spheres, VENUE)
@@ -297,6 +302,23 @@ def test_coplanar_instance_whose_deepest_point_misses_its_certificate():
     assert min(res.margins_m) >= 0.0
     assert res.separation_slack_m >= 0.0
     assert VENUE.contains(res.position)
+
+
+def test_uncertified_deepest_point_reruns_every_support_set(monkeypatch):
+    # The screened pass certifies nothing, so all 15 sets of 1-4 of the 4
+    # spheres are solved again, and the fallback candidate is the reference's.
+    solved = []
+    solve = placement._solve_supports
+
+    def spy(spheres, supports):
+        supports = list(supports)
+        solved.append(len(supports))
+        return solve(spheres, supports)
+
+    monkeypatch.setattr(placement, "_solve_supports", spy)
+    out = placement._deepest_point(UNCERTIFIED)
+    assert len(solved) == 2 and solved[0] < solved[1] == 15
+    assert out == deepest_reference._deepest_point(UNCERTIFIED)
 
 
 def test_placement_is_deterministic():
@@ -555,3 +577,84 @@ def test_pair_study_on_the_readme_pair_peaks_under_2_mb():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+# --- the screened deepest point against the unscreened reference -----------
+
+radii = st.floats(-3.0, 200.0).map(lambda e: 10.0**e)  # 1e-3 to 1e200 m
+
+
+@st.composite
+def _sphere_sets(draw):
+    """1-6 spheres: random; clustered within 2 m per axis of a point that
+    several of them reach with the same slack, some in mirror pairs about
+    it, so that several support sets hold the deepest point; or a DEGENERATE
+    case, reordered and scaled by a power of two, which keeps its
+    coincident, collinear or coplanar centres exact."""
+    kind = draw(st.sampled_from(["random", "clustered", "degenerate"]))
+    if kind == "degenerate":
+        drawn, _ = DEGENERATE[draw(st.sampled_from(sorted(DEGENERATE)))]
+        scale = 2.0 ** draw(st.integers(-14, 657))  # radii of 1.5e-3 to 1.6e199 m
+        return [SphereConstraint(tuple(scale * v for v in c), scale * r)
+                for c, r in draw(st.permutations(drawn))]
+    n = draw(st.integers(1, 6))
+    if kind == "random":
+        coord = st.floats(0.0, 100.0)
+        return [SphereConstraint((draw(coord), draw(coord), draw(coord)), draw(radii))
+                for _ in range(n)]
+    offset = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+    common = tuple(a + b for a, b in zip(draw(lattice_points), draw(offset)))
+    slacks = draw(st.lists(radii, min_size=1, max_size=2))
+    centres = []
+    while len(centres) < n:
+        v = draw(offset)
+        centres.append(tuple(a + b for a, b in zip(common, v)))
+        if len(centres) < n and draw(st.booleans()):
+            centres.append(tuple(a - b for a, b in zip(common, v)))
+    return [SphereConstraint(c, math.dist(c, common) + draw(st.sampled_from(slacks)))
+            for c in centres]
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(_sphere_sets())
+def test_screened_deepest_point_matches_the_unscreened_reference(spheres):
+    assert repr(placement._deepest_point(spheres)) == repr(
+        deepest_reference._deepest_point(spheres))
+
+
+# --- the optimum benchmark's 1008 snapshots --------------------------------
+
+OPTIMUM_PLANS_SHA256 = "557b74622487fb09894c0e55231da4cde974574d1763591b56d34a2fae574170"
+
+
+@pytest.fixture(scope="module")
+def optimum_snapshots():
+    return deepest_reference.optimum_snapshots()
+
+
+def _plan_all(items):
+    config = PlannerConfig()
+    return [plan_snapshot(snap, trace.channel, trace.venue, config, table)
+            for trace, table, snap in items]
+
+
+def test_golden_optimum_plans(optimum_snapshots):
+    """SHA-256 of the `repr` of the plans of trace seeds 1000-1047 (3 and 5
+    FAPs alternating, 100 s, default PlannerConfig)."""
+    assert len(optimum_snapshots) == 1008
+    digest = hashlib.sha256(repr(_plan_all(optimum_snapshots)).encode()).hexdigest()
+    assert digest == OPTIMUM_PLANS_SHA256
+
+
+def test_screen_solves_few_support_sets(monkeypatch, optimum_snapshots):
+    # Unscreened, planning these snapshots solved 10 599 support sets.
+    calls = [0]
+    solve = placement._support_roots
+
+    def counted(support):
+        calls[0] += 1
+        return solve(support)
+
+    monkeypatch.setattr(placement, "_support_roots", counted)
+    _plan_all(optimum_snapshots)
+    assert calls[0] < 10_599 / 5

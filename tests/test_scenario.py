@@ -19,10 +19,8 @@ from gpqm import (
     Venue,
     generate_rwm,
     load_scenario,
-    load_waypoints,
     reference_fair_share_bps,
     save_scenario,
-    save_waypoints,
 )
 from gpqm.scenario import scenario_from_json, scenario_to_json
 
@@ -183,25 +181,6 @@ def test_schedule_visible_in_snapshots():
 
 
 # --- file round-trips -------------------------------------------------------
-
-def test_waypoint_file_round_trip(tmp_path):
-    trace = generate_rwm(n_faps=3, duration_s=70.0, seed=21)
-    path = tmp_path / "wp.txt"
-    save_waypoints(trace, path)
-    loaded = load_waypoints(path)
-    for f in trace.faps:
-        assert loaded[f.fap_id] == f.waypoints
-
-
-def test_waypoint_file_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("fap0 0.0 1.0 2.0\n")
-    with pytest.raises(ValueError):
-        load_waypoints(path)
-    path.write_text("fap0 0.0 1.0 2.0 zebra\n")
-    with pytest.raises(ValueError):
-        load_waypoints(path)
-
 
 def test_scenario_json_round_trip(tmp_path):
     trace = generate_rwm(n_faps=3, duration_s=70.0, seed=33)
