@@ -24,8 +24,14 @@ from the exact point, in two cases: where that point lies outside the venue
 (a convex combination of FAPs inside the venue does so only by rounding),
 and where it lies inside a FAP's protection distance, whose excluded balls
 make the admissible set non-convex, so that search stays heuristic. The
-search evaluates each point it visits once. A sphere whose radius is under
-the protection distance admits no point at all, so no search starts then.
+search evaluates each point it visits once, and tells the objective the
+value a candidate must be below to be taken. The fallback's objectives are
+each the largest of one term per FAP; they take the terms one at a time, the
+one that binds at the current best point first, and stop at the first term
+that reaches that value. The value kept for such a point is a lower bound on
+its true one that still rejects it, since the value to beat never rises
+during a search (see `_descend`). A sphere whose radius is under the
+protection distance admits no point at all, so no search starts then.
 
 The two-sphere study seeds compass search on a 1 m grid. NumPy screens the
 grid one x-plane at a time by each point's worst constraint value; only the
@@ -135,9 +141,19 @@ def _separation_gap(point: Point, spheres: list[SphereConstraint], min_sep: floa
 def _descend(start: Point, objective, venue: Venue) -> Point:
     """Compass pattern search over the clamped venue, step 8 m halving down.
 
-    Each point's objective is computed once: the objectives are pure, and
-    read a point only through distances and venue comparisons, for which
-    0.0 and -0.0, one dictionary key, are alike.
+    Each point's objective is computed once: an objective's exact value is a
+    function of the point alone, read only through distances and venue
+    comparisons, for which 0.0 and -0.0, one dictionary key, are alike.
+
+    A candidate is called as objective(p, bound), where bound is the value it
+    must be below to be taken, move_val - 1e-15. The objective returns the
+    exact value when that is below bound, and otherwise any value at least
+    bound and at most the exact value. The point is rejected either way, and
+    the value stored for it still rejects it at every later look-up, because
+    the bound never rises during a search: move_val only falls within a pass,
+    and each pass starts at the previous pass's final move_val. So the search
+    takes the same moves as with exact values, and a point it takes has its
+    exact value.
     """
     x_max, y_max = venue.x_max_m, venue.y_max_m
     z_min, z_max = venue.min_altitude_m, venue.z_max_m
@@ -148,7 +164,7 @@ def _descend(start: Point, objective, venue: Venue) -> Point:
     for _ in range(_STEP_LEVELS):
         while True:
             move = None
-            move_val = best_val
+            bound = best_val - 1e-15
             bx, by, bz = best
             for dx, dy, dz in _DIRECTIONS:
                 # Venue.clamp, inlined: min(max(v, lower), upper)
@@ -162,16 +178,46 @@ def _descend(start: Point, objective, venue: Venue) -> Point:
                         z_max if z_max < z else z)
                 val = seen.get(cand)
                 if val is None:
-                    val = seen[cand] = objective(cand)
-                if val < move_val - 1e-15:
+                    val = seen[cand] = objective(cand, bound)
+                if val < bound:
                     move = cand
                     move_val = val
+                    bound = val - 1e-15
             if move is None:
                 break
             best = move
             best_val = move_val
         step *= 0.5
     return best
+
+
+def _worst_term(spheres: list[SphereConstraint], term):
+    """The objective max_i term(dist(p, c_i), r_i) of `_descend`, taken one
+    FAP at a time and cut short at the first term at or above its bound,
+    which it returns.
+
+    The FAP whose term was the largest at the last point evaluated in full
+    goes first. In `_descend` that point is the current best one: a point is
+    evaluated in full only when its value is below the bound, and then it is
+    taken.
+    """
+    rows = [(s.center, s.radius_m) for s in spheres]
+
+    def objective(p: Point, bound: float = math.inf) -> float:
+        worst = -math.inf
+        for row in rows:
+            v = term(math.dist(p, row[0]), row[1])
+            if v >= bound:
+                return v
+            if v > worst:
+                worst, top = v, row
+        if top is not rows[0]:
+            rows.remove(top)
+            rows.insert(0, top)
+        return worst
+
+    objective.__name__ = term.__name__
+    return objective
 
 
 def _dot(u: Point, v: Point) -> float:
@@ -352,7 +398,7 @@ def compute_fgw_pos(spheres: list[SphereConstraint], venue: Venue) -> PlacementR
         # Compass search from the exact point. That point is a convex
         # combination of centres inside the venue, so it leaves the venue,
         # or misses its certificate, only by rounding.
-        pos = _descend(pos, lambda p: _coverage_gap(p, spheres), venue)
+        pos = _descend(pos, _worst_term(spheres, operator.sub), venue)
     if _coverage_gap(pos, spheres) > 0.0:
         return PlacementResult(False, None, (), -math.inf)
 
@@ -360,24 +406,17 @@ def compute_fgw_pos(spheres: list[SphereConstraint], venue: Venue) -> PlacementR
         # Too close to some FAP. First find any admissible point (max of the
         # two gaps is <= 0 exactly when both are), then go as deep as the
         # protection distance allows with moves that never re-enter it.
-        centers = [s.center for s in spheres]
-        radii = [s.radius_m for s in spheres]
+        def fenced(d: float, r: float) -> float:
+            return d - r if d - r > min_sep - d else min_sep - d
 
-        def fenced(p: Point) -> float:
-            ds = [math.dist(p, c) for c in centers]
-            return max(max(map(operator.sub, ds, radii)), min_sep - min(ds))
+        def standoff_kept(d: float, r: float) -> float:
+            return math.inf if d < min_sep else d - r
 
-        pos = _descend(pos, fenced, venue)
-        if fenced(pos) > 0.0:
+        fence = _worst_term(spheres, fenced)
+        pos = _descend(pos, fence, venue)
+        if fence(pos) > 0.0:
             return PlacementResult(False, None, (), -math.inf)
-
-        def standoff_kept(p: Point) -> float:
-            ds = [math.dist(p, c) for c in centers]
-            if min(ds) < min_sep:
-                return math.inf
-            return max(map(operator.sub, ds, radii))
-
-        pos = _descend(pos, standoff_kept, venue)
+        pos = _descend(pos, _worst_term(spheres, standoff_kept), venue)
 
     margins = feasibility_margin(pos, spheres)
     sep = min(math.dist(pos, s.center) for s in spheres) - min_sep
@@ -505,9 +544,9 @@ def sphere_pair_analysis(
         return OverlapAnalysis(overlap, None, None, None, None)
 
     def refine(start: Point, sign: float) -> Point:
-        return _descend(
-            start, lambda p: sign * total(p) if _admissible(p, spheres, venue) else math.inf, venue
-        )
+        # Each value is exact, so the bound is met trivially.
+        return _descend(start, lambda p, bound=math.inf: (
+            sign * total(p) if _admissible(p, spheres, venue) else math.inf), venue)
 
     min_point = refine(lowest[1], 1.0)
     max_point = refine(highest[1], -1.0)

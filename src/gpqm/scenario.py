@@ -174,6 +174,9 @@ class ScenarioTrace:
             raise ValueError(f"duration must be positive and finite, not {self.duration_s}")
         if not 1.0 <= self.planning_period_s < math.inf:
             raise ValueError("planning period must be finite and at least 1 s")
+        if self.seed < 0:
+            # random.Random seeds a negative int by its absolute value.
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         ids = [f.fap_id for f in self.faps]
         if len(set(ids)) != len(ids):
             raise ValueError("FAP ids must be unique")

@@ -74,6 +74,10 @@ class SimConfig:
     record_packets: bool = False
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            # random.Random seeds a negative int by its absolute value, and
+            # seeds -1 and 1 would draw one FAP's arrivals from one stream.
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.placement not in PLACEMENTS:
             raise ValueError(f"unknown placement policy {self.placement!r}")
         if self.queue not in QUEUES:

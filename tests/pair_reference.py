@@ -78,9 +78,8 @@ def sphere_pair_analysis(
         return OverlapAnalysis(overlap, None, None, None, None)
 
     def refine(start, sign: float):
-        return _descend(
-            start, lambda p: sign * total(p) if admissible(p, spheres, venue) else math.inf, venue
-        )
+        return _descend(start, lambda p, bound=math.inf: (
+            sign * total(p) if admissible(p, spheres, venue) else math.inf), venue)
 
     totals = [total(p) for p in seeds]
     min_point = refine(seeds[totals.index(min(totals))], 1.0)

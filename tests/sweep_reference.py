@@ -5,7 +5,8 @@
 protection-distance fence whenever the deepest point lies inside it, with the
 compass search of `descend`, which evaluates every candidate it visits. The
 package's versions skip the rungs and fence searches that provably admit no
-gateway and evaluate each point once; the tests require the same plans,
+gateway, evaluate each point once, and stop each fence candidate at its first
+term that reaches the value it must beat; the tests require the same plans,
 points and errors from both, on random traces and on the benchmark's
 snapshots listed in FENCED_SNAPSHOTS. The package never imports this module.
 """

@@ -644,6 +644,31 @@ def test_exit_usage_names_a_demand_whose_packet_rate_underflows(tmp_path, capsys
     assert "demand 1e-320 bit/s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["generate", "simulate", "scenario-file"])
+def test_exit_usage_names_a_negative_seed(tmp_path, capsys, case):
+    # random.Random seeds -1 as 1: `generate --seed -1` wrote the scenario of
+    # --seed 1, and `simulate --seed -1 --runs 3` pooled runs -1 and 1, whose
+    # FAP 0 arrivals came from one stream.
+    scenario, out = tmp_path / "s.json", tmp_path / "out"
+    generate = ["generate", "--faps", "2", "--duration", "4", "--out", str(scenario)]
+    if case == "generate":
+        assert cli.main([*generate, "--seed", "-1"]) == 2
+        assert not scenario.exists()
+    else:
+        assert cli.main([*generate, "--seed", "1"]) == 0
+        argv = [*BASELINE_SIM, "--scenario", str(scenario), "--out", str(out)]
+        if case == "simulate":
+            argv += ["--seed", "-1", "--runs", "3"]
+        else:
+            data = json.loads(scenario.read_text())
+            data["seed"] = -1
+            scenario.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert not out.exists()
+    assert "seed must be non-negative, not -1" in capsys.readouterr().err
+
+
 def test_exit_usage_when_plan_missing_for_gpqm(tmp_path):
     scenario = tmp_path / "s.json"
     assert cli.main([

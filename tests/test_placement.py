@@ -19,7 +19,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gpqm import (
@@ -440,9 +440,9 @@ def test_compass_search_evaluates_each_point_once(monkeypatch):
     def both(start, objective, venue):
         memo = [0]
 
-        def counted(p):
+        def counted(p, bound=math.inf):
             memo[0] += 1
-            return objective(p)
+            return objective(p, bound)
 
         point = memoised(start, counted, venue)
         plain = [0]
@@ -470,6 +470,71 @@ def test_compass_search_evaluates_each_point_once(monkeypatch):
     for kind in ("plan:fenced", "plan:standoff_kept", "pair:<lambda>"):
         memo, plain = calls[kind]
         assert memo < plain, kind
+
+
+def test_fence_descents_stop_at_the_first_term_that_reaches_the_bound(monkeypatch):
+    """On the fence searches of the fenced planner snapshots, the compass
+    search computes under half of the distances that the plain copy
+    computes, which evaluates every term of every candidate it visits: 0.31
+    of them (26 699 of 84 941), when each candidate stops at its first term
+    at or above the bound. Evaluating each point once, but in full, computes
+    0.82 of them (69 565)."""
+    counts = {"bounded": 0, "plain": 0}
+    side = None
+    dist = math.dist
+
+    def counted(p, q):
+        if side is not None:
+            counts[side] += 1
+        return dist(p, q)
+
+    def both(start, objective, venue):
+        nonlocal side
+        if objective.__name__ not in ("fenced", "standoff_kept"):
+            return bounded(start, objective, venue)
+        side = "bounded"
+        point = bounded(start, objective, venue)
+        side = "plain"
+        sweep_reference.descend(start, objective, venue)
+        side = None
+        return point
+
+    bounded = placement._descend
+    monkeypatch.setattr(math, "dist", counted)
+    monkeypatch.setattr(placement, "_descend", both)
+    for seed, index in sweep_reference.FENCED_SNAPSHOTS:
+        trace, snap = sweep_reference.trace_snapshot(seed, index)
+        plan_snapshot(snap, trace.channel, trace.venue, PlannerConfig(), trace.mcs_table())
+    assert counts["bounded"] < 0.5 * counts["plain"]
+
+
+@st.composite
+def _fenced_clusters(draw):
+    """2-5 FAPs within 1.5 m of an anchor on each axis, so that their deepest
+    point mostly lies inside a 3 m fence, with radii of a common base just
+    above 3 m to 200 m plus up to 1 m each: near 3 m the fence often leaves
+    no admissible point."""
+    anchor = (draw(st.floats(0.0, 100.0)), draw(st.floats(0.0, 100.0)),
+              draw(st.floats(1.0, 20.0)))
+    offset = st.floats(-1.5, 1.5)
+    centres = [VENUE.clamp(tuple(a + draw(offset) for a in anchor))
+               for _ in range(draw(st.integers(2, 5)))]
+    base = draw(st.one_of(st.floats(3.0, 4.5, exclude_min=True),
+                          st.floats(3.0, 200.0, exclude_min=True)))
+    return [SphereConstraint(c, base + draw(st.floats(0.0, 1.0))) for c in centres]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example(UNCERTIFIED)
+@given(_fenced_clusters())
+def test_bounded_fence_search_matches_the_plain_reference(spheres):
+    # The plain reference's fence objectives evaluate every term of every
+    # point; the drawn deepest points lie inside a fence, and UNCERTIFIED's
+    # takes the compass fallback before the fence search.
+    pos, _ = placement._deepest_point(spheres)
+    assume(placement._separation_gap(pos, spheres, VENUE.min_separation_m) > 0.0)
+    assert repr(compute_fgw_pos(spheres, VENUE)) == repr(
+        sweep_reference.compute_fgw_pos(spheres, VENUE))
 
 
 GOLDEN_PAIR_SHA256 = "ef3505e1cd60135df4ddca727355a7fab76285ea75c6ddb701c9bce7602bb132"
