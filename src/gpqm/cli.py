@@ -220,14 +220,14 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool, delay_parts=()) 
     if write_packets:
         with (out_dir / "packets.csv").open("w", newline="") as fh:
             csv.writer(fh).writerow(["source_id", "created_s", "delay_s", "dropped"])
-            # every record's FAP is one of the run's FAPs
-            prefix = {fap_id: _csv_prefix(fap_id) for fap_id in metrics.per_fap_goodput_bps}
-            # a dropped packet has no delivery time: an empty delay, dropped 1
-            fh.writelines(
-                f"{prefix[fap_id]}{created!r},,1\r\n" if delivered is None
-                else f"{prefix[fap_id]}{created!r},{delivered - created!r},0\r\n"
-                for fap_id, created, delivered in metrics.packets
-            )
+            for fap_id, created_s, delivered_s in metrics.packets:
+                prefix = _csv_prefix(fap_id)
+                # a dropped packet has no delivery time: an empty delay, dropped 1
+                fh.writelines(
+                    f"{prefix}{created!r},,1\r\n" if delivered is None
+                    else f"{prefix}{created!r},{delivered - created!r},0\r\n"
+                    for created, delivered in zip(created_s, delivered_s)
+                )
     p90_delay, p90_throughput = metrics.percentiles()
     summary = {
         "label": metrics.label,
@@ -354,26 +354,38 @@ def _resolve_run_dir(run: Path) -> Path:
 def _read_column(path: Path, header: tuple[str, ...]) -> list[float]:
     """The last column of a run file written under `header`.
 
-    Raises a ValueError naming the file and the line of a different header or
-    of a row that is not `len(header)` fields ending in a finite number.
+    The file is read as `simulate` writes it: unquoted fields split at every
+    comma, rows ended by LF, CRLF or CR. Raises a ValueError naming the file
+    and the line of a different header or of the first row that is not
+    `len(header)` fields ending in a finite number.
     """
-    with path.open(newline="") as fh:
-        rows = csv.reader(fh)
-        if tuple(next(rows, ())) != header:
+    with path.open() as fh:  # universal newlines: every row ends in "\n"
+        if fh.readline().removesuffix("\n") != ",".join(header):
             raise ValueError(f"{path} line 1: header must be {','.join(header)}")
-        values = []
-        for row in rows:
+        commas = len(header) - 1
+        try:
+            # float skips the "\n"; a row of another field count gives "", which it refuses
+            values = list(map(float, fh if not commas else (
+                row.rpartition(",")[2] if row.count(",") == commas else "" for row in fh)))
+            if all(map(math.isfinite, values)):
+                return values
+        except ValueError:
+            pass
+        # Some row failed: find the first, by the same test row by row.
+        fh.seek(0)
+        fh.readline()
+        for line_num, line in enumerate(fh, 2):
+            row = line.removesuffix("\n").split(",")
             try:
                 value = float(row[-1])
-            except (IndexError, ValueError):
+            except ValueError:
                 value = math.nan
             if len(row) != len(header) or not math.isfinite(value):
-                raise ValueError(
-                    f"{path} line {rows.line_num}: expected {len(header)} fields ending in a "
-                    f"finite number, not {row}"
-                )
-            values.append(value)
-    return values
+                break
+    raise ValueError(
+        f"{path} line {line_num}: expected {len(header)} fields ending in a "
+        f"finite number, not {row}"
+    )
 
 
 def _cmd_analyze_cdf(args) -> int:

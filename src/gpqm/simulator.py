@@ -18,7 +18,8 @@ runs its own loop over its two pending events, the next arrival and the next
 departure; within a FAP, events due at the same time run in the order they
 were scheduled. Each FAP keeps its delay samples and packet records in the
 order of its own events, and a run's outputs are the FAPs' outputs one FAP
-after another, in scenario order.
+after another, in scenario order. A FAP's packet records are two columns,
+creation and delivery times, with None delivered for a drop.
 """
 
 from __future__ import annotations
@@ -102,12 +103,13 @@ class SimConfig:
             raise ValueError(f"fixed_position must be 3 finite numbers, not {self.fixed_position}")
 
 
-class PacketRecord(NamedTuple):
-    """One packet's source, creation time and delivery time (None if dropped)."""
+class FapPackets(NamedTuple):
+    """One FAP's packet records as columns: the i-th packet's creation time
+    and delivery time (None if dropped), in the order of the FAP's events."""
 
     fap_id: str
-    created_s: float
-    delivered_s: float | None
+    created_s: tuple[float, ...]
+    delivered_s: tuple[float | None, ...]
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ class SimMetrics:
     window_delivered: int
     window_dropped: int
     per_fap_goodput_bps: dict[str, float]
-    packets: tuple[PacketRecord, ...] = ()
+    packets: tuple[FapPackets, ...] = ()  # one per FAP, in scenario order
 
     @property
     def plr(self) -> float:
@@ -157,9 +159,10 @@ class DropTailQueue:
     def admit(self, in_system: int) -> bool:
         return in_system < self.limit
 
-    def pull(self, now: float):
-        pkt = self.items.popleft() if self.items else None
-        return pkt, ()
+    def pull(self, now: float, drop) -> float | None:
+        """The next packet to serve (None if empty); each packet the queue
+        discards on the way goes to drop(now, created) first."""
+        return self.items.popleft() if self.items else None
 
 
 class RedQueue(DropTailQueue):
@@ -211,15 +214,14 @@ class CoDelQueue(DropTailQueue):
             return pkt, False
         return pkt, now >= self.first_above
 
-    def pull(self, now: float):
-        dropped = []
+    def pull(self, now: float, drop) -> float | None:
         pkt, ok_to_drop = self._dodequeue(now)
         if self.dropping:
             if not ok_to_drop:
                 self.dropping = False
             else:
                 while pkt is not None and self.dropping and now >= self.drop_next:
-                    dropped.append(pkt)
+                    drop(now, pkt)
                     self.count += 1
                     pkt, ok_to_drop = self._dodequeue(now)
                     if not ok_to_drop:
@@ -227,7 +229,7 @@ class CoDelQueue(DropTailQueue):
                     else:
                         self.drop_next += _CODEL_INTERVAL_S / math.sqrt(self.count)
         elif ok_to_drop:
-            dropped.append(pkt)
+            drop(now, pkt)
             pkt, _ = self._dodequeue(now)
             self.dropping = True
             delta = self.count - 2
@@ -236,7 +238,7 @@ class CoDelQueue(DropTailQueue):
             else:
                 self.count = 1
             self.drop_next = now + _CODEL_INTERVAL_S / math.sqrt(self.count)
-        return pkt, tuple(dropped)
+        return pkt
 
 
 # --- engine ---------------------------------------------------------------
@@ -246,9 +248,9 @@ class _Fap:
     """One FAP's source, queue and server, run on its own from tick to tick.
 
     Its pending events are the next arrival and the next departure; of two due
-    at one time, the one scheduled first runs first. Its delay samples and
-    packet records collect in `delays` and `records`, in the order of the
-    events that made them.
+    at one time, the one scheduled first runs first. Its delay samples
+    collect in `delays` and its packet records in the columns `created_s` and
+    `delivered_s`, in the order of the events that made them.
     """
 
     def __init__(self, i: int, trace_fap, config: SimConfig, thr_bins: list[float]):
@@ -272,7 +274,8 @@ class _Fap:
         self.departure_at = math.inf
         self.arrival_last = True  # whether the pending arrival was scheduled after the departure
         self.delays: list[float] = []
-        self.records: list[PacketRecord] = []
+        self.created_s: list[float] = []
+        self.delivered_s: list[float | None] = []
         self.generated = self.delivered = self.dropped = 0
         self.w_generated = self.w_delivered = self.w_dropped = 0
 
@@ -306,14 +309,8 @@ class _Fap:
         if cfg.traffic == "aimd":
             self.aimd_rate_bps = max(self.aimd_rate_bps * 0.5, PACKET_BITS)
         if cfg.record_packets:
-            self.records.append(PacketRecord(self.trace.fap_id, created, None))
-
-    def pull(self, now: float) -> float | None:
-        """The queue's next packet, dropping what the queue discards on the way."""
-        pkt, drops = self.queue.pull(now)
-        for created in drops:
-            self.drop(now, created)
-        return pkt
+            self.created_s.append(created)
+            self.delivered_s.append(None)
 
     def run(self, now: float, until: float) -> None:
         """Run the events due from the tick at `now` to before `until`, first
@@ -331,15 +328,15 @@ class _Fap:
         arr_random = self.arr_rng.random
         next_arrival = self.next_arrival
         record = cfg.record_packets
-        fap_id = self.trace.fap_id
         queue = self.queue
         # Drop-tail queues (static and scheduled) admit and pull here; RED and CoDel by hook.
         plain = type(queue) is DropTailQueue
-        items, limit, admit, pull = queue.items, queue.limit, queue.admit, self.pull
+        items, limit, admit, pull = queue.items, queue.limit, queue.admit, queue.pull
         drop = self.drop
         thr = self.thr_bins
         last_bin = len(thr) - 1
-        delays, records = self.delays.append, self.records.append
+        delays = self.delays.append
+        record_created, record_delivered = self.created_s.append, self.delivered_s.append
         rate, prop = self.rate_bps, self.prop_s
         st = PACKET_BITS / rate if rate > 0.0 else math.inf
         mu = rate / PACKET_BITS  # exponential service's packets per second
@@ -349,7 +346,7 @@ class _Fap:
         generated = delivered = w_generated = w_delivered = 0
 
         if serving is None and rate > 0.0:
-            serving = pull(now)
+            serving = pull(now, drop)
             if serving is not None:
                 departure_at = (now + st if srv_random is None
                                 else now - log(1.0 - srv_random()) / mu)
@@ -366,7 +363,7 @@ class _Fap:
                 if in_system < limit if plain else admit(in_system):
                     items.append(now)
                     if serving is None and rate > 0.0:
-                        serving = items.popleft() if plain else pull(now)
+                        serving = items.popleft() if plain else pull(now, drop)
                         if serving is not None:
                             departure_at = (now + st if srv_random is None
                                             else now - log(1.0 - srv_random()) / mu)
@@ -394,11 +391,12 @@ class _Fap:
                     # an offset that rounds up to measure_s belongs to the last bin
                     thr[min(int(delivered_at - lo), last_bin)] += PACKET_BITS
                 if record:
-                    records(PacketRecord(fap_id, created, delivered_at))
+                    record_created(created)
+                    record_delivered(delivered_at)
                 if aimd:
                     self.aimd_rate_bps = min(self.aimd_rate_bps + PACKET_BITS, self.demand_bps)
                 if rate > 0.0:
-                    serving = (items.popleft() if items else None) if plain else pull(now)
+                    serving = (items.popleft() if items else None) if plain else pull(now, drop)
                     if serving is not None:
                         departure_at = (now + st if srv_random is None
                                         else now - log(1.0 - srv_random()) / mu)
@@ -509,16 +507,18 @@ def simulate(
         _tick(config, trace, plan, table, faps, float(tb))
         for f in faps:
             f.run(float(tb), min(tb + 1.0, duration))
-    # The FAPs' outputs one after another, each FAP's emptied as it joins, so
-    # that no output is held three times: in a FAP's list, the joined list and
-    # the tuple.
+    # The FAPs' delays one after another, each FAP's emptied as it joins, so
+    # that no sample is held three times: in a FAP's list, the joined list and
+    # the tuple. Each FAP's records become its own tuples as its lists go.
     delays: list[float] = []
-    records: list[PacketRecord] = []
+    packets = []
     for f in faps:
         delays += f.delays
-        records += f.records
         f.delays.clear()
-        f.records.clear()
+        if config.record_packets:
+            packets.append(FapPackets(f.trace.fap_id, tuple(f.created_s), tuple(f.delivered_s)))
+            f.created_s.clear()
+            f.delivered_s.clear()
 
     return SimMetrics(
         label=f"{config.placement}-{config.queue}",
@@ -538,7 +538,7 @@ def simulate(
         per_fap_goodput_bps={
             f.trace.fap_id: f.w_delivered * PACKET_BITS / config.measure_s for f in faps
         },
-        packets=tuple(records),
+        packets=tuple(packets),
     )
 
 

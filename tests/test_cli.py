@@ -32,7 +32,7 @@ from gpqm import (
     simulate,
 )
 from gpqm.scenario import DEFAULT_PLANNING_PERIOD_S
-from gpqm.simulator import PacketRecord
+from gpqm.simulator import FapPackets
 
 
 @pytest.fixture(scope="module")
@@ -165,20 +165,20 @@ def test_simulate_run_layout(pipeline):
 
 def test_streamed_csvs_match_csv_writer(tmp_path):
     # FAP ids that csv must quote, floats whose repr is short or exponent-form,
-    # and a dropped packet's empty delay field.
-    ids = ['a,"b c', "plain", "two\nlines", ""]
+    # a dropped packet's empty delay field and a FAP with no records.
+    ids = ['a,"b c', "plain", "two\nlines", "", "silent"]
     delays = (1e-05, 0.1, 1.0 / 3.0, 2.5e-07, 1e16)
     packets = (
-        PacketRecord(ids[0], 0.0, 1e-05),
-        PacketRecord(ids[1], 1e-05, None),
-        PacketRecord(ids[2], 0.25, 0.35),
-        PacketRecord(ids[3], 2.0, None),
-        PacketRecord(ids[0], 1.0 / 3.0, None),
+        FapPackets(ids[0], (0.0, 1.0 / 3.0), (1e-05, None)),
+        FapPackets(ids[1], (1e-05,), (None,)),
+        FapPackets(ids[2], (0.25, 2.5e-07), (0.35, 1e16)),
+        FapPackets(ids[3], (2.0,), (None,)),
+        FapPackets(ids[4], (), ()),
     )
     metrics = SimMetrics(
         label="x", seed=1, bootstrap_s=0.0, measure_s=1.0, throughput_samples_bps=(0.0,),
-        delay_samples_s=delays, generated=5, delivered=2, dropped=3, residual=0,
-        window_generated=5, window_delivered=2, window_dropped=3,
+        delay_samples_s=delays, generated=6, delivered=3, dropped=3, residual=0,
+        window_generated=6, window_delivered=3, window_dropped=3,
         per_fap_goodput_bps=dict.fromkeys(ids, 0.0), packets=packets)
     cli._write_metrics(tmp_path, metrics, True)
 
@@ -191,8 +191,9 @@ def test_streamed_csvs_match_csv_writer(tmp_path):
         [["delay_s"], *([v] for v in delays)])
     assert (tmp_path / "packets.csv").read_bytes() == written(
         [["source_id", "created_s", "delay_s", "dropped"]]
-        + [[p.fap_id, p.created_s, "" if p.delivered_s is None else p.delivered_s - p.created_s,
-            int(p.delivered_s is None)] for p in packets])
+        + [[p.fap_id, created, "" if delivered is None else delivered - created,
+            int(delivered is None)]
+           for p in packets for created, delivered in zip(p.created_s, p.delivered_s)])
 
 
 def test_runs_are_merged_without_their_records(tmp_path, monkeypatch):
@@ -328,6 +329,61 @@ def test_cdf_names_the_file_and_line_of_a_bad_row(pipeline, tmp_path, capsys, fi
     assert cli.main(["analyze", "cdf", "--metrics", str(run), "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def _analyze(runs: list[Path], out: Path) -> int:
+    return cli.main(["analyze", "cdf", *(a for r in runs for a in ("--metrics", str(r))),
+                     "--out", str(out)])
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_cdf_reads_every_line_end(pipeline, tmp_path, line_end):
+    # simulate writes CRLF; a copy whose rows end in LF or CR alone reads the same.
+    copies = []
+    for seed in (1, 2):
+        run = tmp_path / f"seed{seed}"
+        shutil.copytree(pipeline["gpqm"] / f"seed{seed}", run)
+        for name in ("throughput.csv", "delays.csv"):
+            rows = (run / name).read_bytes().decode().splitlines()
+            (run / name).write_bytes("".join(r + line_end for r in rows).encode())
+        copies.append(run)
+    assert _analyze(copies, tmp_path / "cdf.json") == 0
+    assert (tmp_path / "cdf.json").read_bytes() == pipeline["cdf"].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "file, row, named",
+    [
+        ("delays.csv", '"0.25"', "delays.csv line 4: expected 1 fields"),
+        ("throughput.csv", '2.0,"5.0"', "throughput.csv line 4: expected 2 fields"),
+        ("delays.csv", "0.25,", "delays.csv line 4: expected 1 fields"),
+        ("throughput.csv", "2.0,5.0,", "throughput.csv line 4: expected 2 fields"),
+    ],
+    ids=["quoted-delay", "quoted-throughput", "delay-extra-comma", "throughput-extra-comma"],
+)
+def test_cdf_refuses_what_simulate_does_not_write(pipeline, tmp_path, capsys, file, row,
+                                                  named):
+    # simulate quotes no number; csv.reader would have read these as numbers.
+    # A trailing comma is one more, empty field.
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["baseline"] / "seed1", run)
+    rows = (run / file).read_text().splitlines()
+    rows.insert(3, row)
+    (run / file).write_text("\n".join(rows) + "\n")
+    assert _analyze([run], tmp_path / "cdf.json") == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "cdf.json").exists()
+
+
+def test_run_files_read_as_csv_reader_reads_them(pipeline):
+    for run in [pipeline["baseline"] / "seed1"] + [
+            pipeline["gpqm"] / name for name in ("seed1", "seed2", "pooled")]:
+        for name, header in (("throughput.csv", cli.THROUGHPUT_HEADER),
+                             ("delays.csv", cli.DELAY_HEADER)):
+            with (run / name).open(newline="") as fh:
+                expected = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+            assert expected
+            assert cli._read_column(run / name, header) == expected
 
 
 def test_window_shorter_than_a_second_gives_one_sample(tmp_path):

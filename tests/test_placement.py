@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 
@@ -535,6 +536,42 @@ def test_bounded_fence_search_matches_the_plain_reference(spheres):
     assume(placement._separation_gap(pos, spheres, VENUE.min_separation_m) > 0.0)
     assert repr(compute_fgw_pos(spheres, VENUE)) == repr(
         sweep_reference.compute_fgw_pos(spheres, VENUE))
+
+
+@st.composite
+def _near_ties(draw):
+    """A point, a bound and 2-6 spheres: the terms d - r of two to four of
+    them lie 1e-12 to 1e-9 m below the bound, those of the rest up to 2 m
+    below it or up to 1e-9 m above it, in a drawn order."""
+    def point():
+        return (draw(st.floats(0.0, 100.0)), draw(st.floats(0.0, 100.0)),
+                draw(st.floats(1.0, 20.0)))
+
+    p, bound = point(), draw(st.floats(-60.0, -1.0))
+    near = draw(st.lists(st.floats(1e-12, 1e-9), min_size=2, max_size=4))
+    rest = draw(st.lists(st.one_of(st.floats(0.0, 2.0), st.floats(-1e-9, 0.0)), max_size=2))
+    spheres = []
+    for gap in draw(st.permutations(near + rest)):
+        c = point()
+        spheres.append(SphereConstraint(c, math.dist(p, c) - (bound - gap)))
+    return p, bound, spheres
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_near_ties())
+def test_worst_term_is_exact_below_the_bound_through_near_ties(case):
+    # Each term just below the bound must still be computed: an objective that
+    # stopped at a term merely near the bound would return that term, not the
+    # maximum, and the compass search would reject a point it should take.
+    p, bound, spheres = case
+    exact = max(math.dist(p, s.center) - s.radius_m for s in spheres)
+    objective = placement._worst_term(spheres, operator.sub)
+    value = objective(p, bound)
+    if exact < bound:
+        assert value == exact
+    else:
+        assert bound <= value <= exact
+    assert objective(p) == exact
 
 
 GOLDEN_PAIR_SHA256 = "ef3505e1cd60135df4ddca727355a7fab76285ea75c6ddb701c9bce7602bb132"

@@ -227,10 +227,11 @@ def test_seed_changes_outcome():
 def test_packet_records_causal():
     m = run_single(1.5 * MU_PPS * 11200.0, queue_size=5, measure_s=4.0,
                    record_packets=True)
-    delivered = [p for p in m.packets if p.delivered_s is not None]
-    assert delivered and len(delivered) < len(m.packets)
-    for p in delivered:
-        assert p.delivered_s > p.created_s
+    (fap,) = m.packets
+    delivered = [(c, d) for c, d in zip(fap.created_s, fap.delivered_s) if d is not None]
+    assert delivered and len(delivered) < len(fap.created_s) == len(fap.delivered_s)
+    for created, delivered_at in delivered:
+        assert delivered_at > created
 
 
 def test_fair_share_parity_across_identical_faps():
@@ -457,21 +458,21 @@ GOLDEN_WINDOW = dict(bootstrap_s=0.5, measure_s=1.0, record_packets=True)
 def golden_digest(trace: ScenarioTrace, m) -> str:
     """SHA-256 of every field of `m`, packet records included.
 
-    It first checks that the records come grouped by FAP, in scenario order,
-    and that the delay samples are the records' deliveries in the window, in
-    the records' order.
+    It first checks that the records come as one pair of equal-length
+    columns per FAP, in scenario order, and that the delay samples are the
+    records' deliveries in the window, in the records' order.
     """
-    order = {f.fap_id: i for i, f in enumerate(trace.faps)}
-    ranks = [order[p.fap_id] for p in m.packets]
-    assert ranks == sorted(ranks)
+    assert [p.fap_id for p in m.packets] == [f.fap_id for f in trace.faps]
+    assert all(len(p.created_s) == len(p.delivered_s) for p in m.packets)
+    # One row per record, FAP by FAP: the rows the digests were pinned on.
+    rows = [(p.fap_id, created, delivered, delivered is None,
+             None if delivered is None else delivered - created)
+            for p in m.packets for created, delivered in zip(p.created_s, p.delivered_s)]
     lo, hi = m.bootstrap_s, m.bootstrap_s + m.measure_s
     assert m.delay_samples_s == tuple(
-        p.delivered_s - p.created_s for p in m.packets
-        if p.delivered_s is not None and lo <= p.delivered_s < hi
+        delay for _, _, delivered, _, delay in rows
+        if delivered is not None and lo <= delivered < hi
     )
-    # Tuples of the records' fields repr faster than the dataclasses themselves.
-    rows = [(p.fap_id, p.created_s, p.delivered_s, p.delivered_s is None,
-             None if p.delivered_s is None else p.delivered_s - p.created_s) for p in m.packets]
     return hashlib.sha256(repr((replace(m, packets=()), rows)).encode()).hexdigest()
 
 GOLDEN_CELLS = {
