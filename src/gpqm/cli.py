@@ -193,9 +193,47 @@ def _csv_prefix(field: str) -> str:
     return buf.getvalue().removesuffix("\r\n")
 
 
+# Rows formatted per write: the row strings held at once stay under a megabyte.
+_ROWS_PER_WRITE = 4096
+
+
+def _write_rows(fh, rows: list[str]) -> None:
+    """Write each of `rows` as a CRLF-ended line, as csv.writer ends them."""
+    if rows:
+        fh.write("\r\n".join(rows))
+        fh.write("\r\n")
+
+
+def _write_packets(delays_fh, packets_fh, metrics) -> None:
+    """Write the delay rows and packets.csv FAP by FAP from the records.
+
+    Each delivered packet's delay is formatted once, for both files. The
+    delay samples are the records' deliveries in the window, in the records'
+    order, so the delay rows are those of `metrics.delay_samples_s`.
+    """
+    lo, hi = metrics.bootstrap_s, metrics.bootstrap_s + metrics.measure_s
+    csv.writer(packets_fh).writerow(["source_id", "created_s", "delay_s", "dropped"])
+    for fap_id, created_s, delivered_s in metrics.packets:
+        prefix = _csv_prefix(fap_id)
+        for i in range(0, len(created_s), _ROWS_PER_WRITE):
+            created_c = created_s[i:i + _ROWS_PER_WRITE]
+            delivered_c = delivered_s[i:i + _ROWS_PER_WRITE]
+            delays = [None if delivered is None else repr(delivered - created)
+                      for created, delivered in zip(created_c, delivered_c)]
+            _write_rows(delays_fh, [
+                delay for delay, delivered in zip(delays, delivered_c)
+                if delivered is not None and lo <= delivered < hi
+            ])
+            # a dropped packet has no delivery time: an empty delay, dropped 1
+            _write_rows(packets_fh, [
+                f"{prefix}{created!r},,1" if delay is None else f"{prefix}{created!r},{delay},0"
+                for created, delay in zip(created_c, delays)
+            ])
+
+
 def _write_metrics(out_dir: Path, metrics, write_packets: bool, delay_parts=()) -> None:
-    """Write a run's CSVs and summary. The per-packet files are streamed row by
-    row as csv.writer would write them: floats by repr, CRLF line ends.
+    """Write a run's CSVs and summary. The per-packet files are written as
+    csv.writer would write them: floats by repr, CRLF line ends.
 
     Given `delay_parts`, the delays.csv files whose samples `metrics` pools in
     their order, the rows are copied from them rather than formatted again.
@@ -215,19 +253,13 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool, delay_parts=()) 
                 with part.open(newline="") as src:
                     src.readline()  # its header
                     shutil.copyfileobj(src, fh)
+        elif write_packets:
+            with (out_dir / "packets.csv").open("w", newline="") as packets_fh:
+                _write_packets(fh, packets_fh, metrics)
         else:
-            fh.writelines(f"{v!r}\r\n" for v in metrics.delay_samples_s)
-    if write_packets:
-        with (out_dir / "packets.csv").open("w", newline="") as fh:
-            csv.writer(fh).writerow(["source_id", "created_s", "delay_s", "dropped"])
-            for fap_id, created_s, delivered_s in metrics.packets:
-                prefix = _csv_prefix(fap_id)
-                # a dropped packet has no delivery time: an empty delay, dropped 1
-                fh.writelines(
-                    f"{prefix}{created!r},,1\r\n" if delivered is None
-                    else f"{prefix}{created!r},{delivered - created!r},0\r\n"
-                    for created, delivered in zip(created_s, delivered_s)
-                )
+            samples = metrics.delay_samples_s
+            for i in range(0, len(samples), _ROWS_PER_WRITE):
+                _write_rows(fh, list(map(repr, samples[i:i + _ROWS_PER_WRITE])))
     p90_delay, p90_throughput = metrics.percentiles()
     summary = {
         "label": metrics.label,
@@ -348,6 +380,10 @@ def _resolve_run_dir(run: Path) -> Path:
     seeds = sorted(p for p in run.glob("seed*") if (p / "throughput.csv").exists())
     if len(seeds) == 1:
         return seeds[0]
+    if seeds:
+        # runs written by separate simulate calls: which to pool is the user's choice
+        raise ValueError(f"{run} holds {len(seeds)} runs and no pooled run; pass them one "
+                         f"by one: {' '.join(f'--metrics {p}' for p in seeds)}")
     return run
 
 

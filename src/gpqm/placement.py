@@ -38,7 +38,9 @@ grid one x-plane at a time by each point's worst constraint value; only the
 points within a rounding band of 0 go to the scalar `math.dist` test, so the
 seeds are bit for bit those of testing every point. The lowest and highest
 totals are kept as the seeds stream past, the first of equals winning, so no
-list of seeds or totals is built.
+list of seeds or totals is built. NumPy is imported inside `_admissible_grid`,
+its only user here: the planner and the simulator never reach it, so
+`import gpqm` does not load NumPy and the pair study loads it on its first call.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ import math
 import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 Point = tuple[float, float, float]
 
@@ -463,6 +463,8 @@ def _admissible_grid(spheres: list[SphereConstraint], venue: Venue) -> Iterator[
     above to its ceiling plus the 1e-9 m that `Venue.contains` forgives), so
     no point needs the venue test.
     """
+    import numpy as np
+
     axes = []
     bounds = ((0.0, venue.x_max_m), (0.0, venue.y_max_m), (venue.min_altitude_m, venue.z_max_m))
     for k, (floor, ceiling) in enumerate(bounds):

@@ -21,7 +21,9 @@ Links carry DEFAULT_PACKET_SIZE_BYTES packets, as in the planner and the
 simulator. Both capacity models come from `channel.capacity_bps`, whose
 arithmetic `_constraint_terms` repeats operation for operation. The
 regression model's aggregate cap and the swarm's coefficients are module
-constants; the cap is computed once, at import.
+constants; the cap is computed once, at import. NumPy is imported inside
+`solve_pso`, its only user here, so that `import gpqm` does not load NumPy and
+the swarm loads it on its first call.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import math
 import random
 from dataclasses import dataclass, replace
 from typing import ClassVar
-
-import numpy as np
 
 from .channel import (
     _REGRESSION,
@@ -277,6 +277,8 @@ def solve_pso(problem: OptProblem, seed: int, params: PsoParams | None = None) -
     distinct personal best once. The result is the one a loop that scores
     every particle for every iteration returns, bit for bit.
     """
+    import numpy as np
+
     params = params or PsoParams()
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in problem.bounds])

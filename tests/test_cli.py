@@ -10,8 +10,11 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import signal
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -163,37 +166,75 @@ def test_simulate_run_layout(pipeline):
     assert pooled["window_delivered"] > 0
 
 
-def test_streamed_csvs_match_csv_writer(tmp_path):
-    # FAP ids that csv must quote, floats whose repr is short or exponent-form,
-    # a dropped packet's empty delay field and a FAP with no records.
-    ids = ['a,"b c', "plain", "two\nlines", "", "silent"]
-    delays = (1e-05, 0.1, 1.0 / 3.0, 2.5e-07, 1e16)
-    packets = (
-        FapPackets(ids[0], (0.0, 1.0 / 3.0), (1e-05, None)),
-        FapPackets(ids[1], (1e-05,), (None,)),
-        FapPackets(ids[2], (0.25, 2.5e-07), (0.35, 1e16)),
-        FapPackets(ids[3], (2.0,), (None,)),
-        FapPackets(ids[4], (), ()),
-    )
-    metrics = SimMetrics(
-        label="x", seed=1, bootstrap_s=0.0, measure_s=1.0, throughput_samples_bps=(0.0,),
-        delay_samples_s=delays, generated=6, delivered=3, dropped=3, residual=0,
-        window_generated=6, window_delivered=3, window_dropped=3,
-        per_fap_goodput_bps=dict.fromkeys(ids, 0.0), packets=packets)
-    cli._write_metrics(tmp_path, metrics, True)
+# FAP ids that csv must quote, a dropped packet's empty delay field, a FAP
+# with no records, and deliveries before, inside ([0.2, 1.2) s) and after the
+# window; every delay's repr is short or exponent-form.
+_IDS = ['a,"b c', "plain", "two\nlines", "", "silent", "late"]
+_PACKETS = (
+    FapPackets(_IDS[0], (0.0, 1.0 / 3.0, 0.0), (0.3, None, 1e-05)),
+    FapPackets(_IDS[1], (1e-05,), (None,)),
+    FapPackets(_IDS[2], (0.25, 2.5e-07), (0.35, 1e16)),
+    FapPackets(_IDS[3], (2.0,), (None,)),
+    FapPackets(_IDS[4], (), ()),
+    FapPackets(_IDS[5], (0.5, 1.0), (0.5 + 2.5e-07, 1.2)),
+)
+# The records' deliveries in the window, in their order: the delay samples
+# that simulate gives with them.
+_PACKET_DELAYS = (0.3, 0.35 - 0.25, 0.5 + 2.5e-07 - 0.5)
 
+
+def test_streamed_csvs_match_csv_writer(tmp_path):
     def written(rows) -> bytes:
         buf = io.StringIO(newline="")
         csv.writer(buf).writerows(rows)
         return buf.getvalue().encode()
 
-    assert (tmp_path / "delays.csv").read_bytes() == written(
-        [["delay_s"], *([v] for v in delays)])
-    assert (tmp_path / "packets.csv").read_bytes() == written(
-        [["source_id", "created_s", "delay_s", "dropped"]]
-        + [[p.fap_id, created, "" if delivered is None else delivered - created,
-            int(delivered is None)]
-           for p in packets for created, delivered in zip(p.created_s, p.delivered_s)])
+    inputs = {
+        "samples": ((1e-05, 0.1, 1.0 / 3.0, 2.5e-07, 1e16), ()),
+        "no-samples": ((), ()),
+        "packets-csv": (_PACKET_DELAYS, _PACKETS),
+    }
+    for name, (delays, packets) in inputs.items():
+        metrics = SimMetrics(
+            label="x", seed=1, bootstrap_s=0.2, measure_s=1.0, throughput_samples_bps=(0.0,),
+            delay_samples_s=delays, generated=10, delivered=6, dropped=4, residual=0,
+            window_generated=10, window_delivered=3, window_dropped=4,
+            per_fap_goodput_bps=dict.fromkeys(_IDS, 0.0), packets=packets)
+        out = tmp_path / name
+        cli._write_metrics(out, metrics, bool(packets))
+
+        assert (out / "delays.csv").read_bytes() == written(
+            [["delay_s"], *([v] for v in delays)]), name
+        if not packets:
+            assert not (out / "packets.csv").exists()
+            continue
+        assert (out / "packets.csv").read_bytes() == written(
+            [["source_id", "created_s", "delay_s", "dropped"]]
+            + [[p.fap_id, created, "" if delivered is None else delivered - created,
+                int(delivered is None)]
+               for p in packets for created, delivered in zip(p.created_s, p.delivered_s)])
+
+
+def test_rows_written_in_several_writes_match_one(tmp_path, monkeypatch):
+    # More rows than one write takes, in each file, land in order.
+    created = tuple(i / 8.0 for i in range(7))
+    packets = (FapPackets("a", created, tuple(None if i % 3 else c + 0.1
+                                                for i, c in enumerate(created))),)
+    metrics = SimMetrics(
+        label="x", seed=1, bootstrap_s=0.0, measure_s=1.0, throughput_samples_bps=(0.0,),
+        delay_samples_s=(0.1, 3 / 8.0 + 0.1 - 3 / 8.0, 6 / 8.0 + 0.1 - 6 / 8.0),
+        generated=7, delivered=3, dropped=4, residual=0, window_generated=7,
+        window_delivered=3, window_dropped=4, per_fap_goodput_bps={"a": 0.0}, packets=packets)
+    cli._write_metrics(tmp_path / "one", metrics, True)
+    cli._write_metrics(tmp_path / "one-samples", metrics, False)
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 2)
+    cli._write_metrics(tmp_path / "chunked", metrics, True)
+    cli._write_metrics(tmp_path / "chunked-samples", metrics, False)
+    for name in ("delays.csv", "packets.csv"):
+        assert (tmp_path / "chunked" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    for run in ("one", "chunked"):
+        assert ((tmp_path / f"{run}-samples" / "delays.csv").read_bytes()
+                == (tmp_path / "one" / "delays.csv").read_bytes())
 
 
 def test_runs_are_merged_without_their_records(tmp_path, monkeypatch):
@@ -757,6 +798,64 @@ def test_exit_io_on_missing_metrics_dir(tmp_path):
         "--out", str(tmp_path / "x.json"),
     ])
     assert rc == 4
+
+
+def test_exit_usage_names_the_runs_of_a_directory_without_a_pooled_run(tmp_path, capsys):
+    # Two single runs into one --out leave seed1/ and seed2/ and no pooled/.
+    scenario, runs = tmp_path / "s.json", tmp_path / "runs"
+    assert cli.main([
+        "generate", "--faps", "2", "--duration", "3", "--seed", "6", "--out", str(scenario),
+    ]) == 0
+    for seed in ("1", "2"):
+        assert cli.main([
+            "simulate", "--scenario", str(scenario), "--policy", "venue-center",
+            "--seed", seed, "--bootstrap", "1", "--measure", "1", "--out", str(runs),
+        ]) == 0
+    capsys.readouterr()
+    out = tmp_path / "cdf.json"
+    assert _analyze([runs], out) == 2
+    err = capsys.readouterr().err
+    assert f"--metrics {runs / 'seed1'} --metrics {runs / 'seed2'}" in err
+    assert "throughput.csv" not in err
+    assert not out.exists()
+
+
+# Runs the README pipeline's commands, then the pair study, in one fresh
+# interpreter, and prints whether NumPy was loaded after each stage.
+_STARTUP_SCRIPT = """
+import contextlib, io, sys
+import gpqm, gpqm.cli
+print("import", "numpy" in sys.modules)
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gpqm.cli.main(list(argv)) == 0, argv
+
+window = ("--bootstrap", "1", "--measure", "1")
+run("generate", "--faps", "2", "--duration", "3", "--seed", "6", "--out", "s.json")
+run("plan", "--scenario", "s.json", "--out", "p.json")
+run("simulate", "--scenario", "s.json", "--plan", "p.json", "--policy", "gpqm",
+    "--queue", "scheduled", "--runs", "2", *window, "--out", "planned")
+run("simulate", "--scenario", "s.json", "--policy", "venue-center", "--queue", "droptail",
+    "--packets-csv", *window, "--out", "baseline")
+run("analyze", "cdf", "--metrics", "planned", "--metrics", "baseline", "--out", "cdf.json")
+print("pipeline", "numpy" in sys.modules)
+run("analyze", "pair", "--fap", "30,50,10", "--fap", "60,50,10", "--snr", "15", "--snr", "15",
+    "--out", "pair.json")
+print("pair", "numpy" in sys.modules)
+"""
+
+
+def test_pipeline_commands_never_load_numpy(tmp_path):
+    # Each command is a process of its own that pays for its imports; NumPy
+    # is loaded only by the swarm and the pair study, on their first call.
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["import False", "pipeline False", "pair True"]
 
 
 def test_exit_io_on_unreadable_scenario(tmp_path):
