@@ -231,12 +231,14 @@ def _write_packets(delays_fh, packets_fh, metrics) -> None:
             ])
 
 
-def _write_metrics(out_dir: Path, metrics, write_packets: bool, delay_parts=()) -> None:
+def _write_metrics(out_dir: Path, metrics, write_packets: bool, pooled_seeds=()) -> None:
     """Write a run's CSVs and summary. The per-packet files are written as
     csv.writer would write them: floats by repr, CRLF line ends.
 
-    Given `delay_parts`, the delays.csv files whose samples `metrics` pools in
-    their order, the rows are copied from them rather than formatted again.
+    Given `pooled_seeds`, the seeds of the runs beside `out_dir` whose samples
+    `metrics` pools in their order, the delay rows are copied from those runs'
+    delays.csv files rather than formatted again, and the summary lists the
+    seeds.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "throughput.csv").open("w", newline="") as fh:
@@ -248,9 +250,9 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool, delay_parts=()) 
             w.writerow([metrics.bootstrap_s + i % per_run, v])
     with (out_dir / "delays.csv").open("w", newline="") as fh:
         csv.writer(fh).writerow(DELAY_HEADER)
-        if delay_parts:
-            for part in delay_parts:
-                with part.open(newline="") as src:
+        if pooled_seeds:
+            for seed in pooled_seeds:
+                with (out_dir.parent / f"seed{seed}" / "delays.csv").open(newline="") as src:
                     src.readline()  # its header
                     shutil.copyfileobj(src, fh)
         elif write_packets:
@@ -269,6 +271,8 @@ def _write_metrics(out_dir: Path, metrics, write_packets: bool, delay_parts=()) 
         "window_delivered": metrics.window_delivered,
         "window_dropped": metrics.window_dropped,
     }
+    if pooled_seeds:
+        summary["seeds"] = list(pooled_seeds)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
 
 
@@ -312,8 +316,7 @@ def _cmd_simulate(args) -> int:
         metrics = replace(metrics, packets=())
         runs.append(metrics)
     if len(runs) > 1:
-        _write_metrics(out_root / "pooled", merge_metrics(runs), False,
-                       [out_root / f"seed{m.seed}" / "delays.csv" for m in runs])
+        _write_metrics(out_root / "pooled", merge_metrics(runs), False, [m.seed for m in runs])
     print(f"wrote metrics -> {out_root}")
     return EXIT_OK
 
@@ -375,16 +378,23 @@ def _resolve_run_dir(run: Path) -> Path:
     # simulate writes per-seed leaves under --out; accept the parent too
     if (run / "throughput.csv").exists():
         return run
-    if (run / "pooled" / "throughput.csv").exists():
-        return run / "pooled"
     seeds = sorted(p for p in run.glob("seed*") if (p / "throughput.csv").exists())
-    if len(seeds) == 1:
+    pooled = run / "pooled"
+    if (pooled / "throughput.csv").exists():
+        # a pooled run written before summaries listed their seeds is taken as it is
+        listed = json.loads((pooled / "summary.json").read_text()).get("seeds")
+        if listed is None or {p.name for p in seeds} <= {f"seed{s}" for s in listed}:
+            return pooled
+        held = f"a pooled run of seeds {', '.join(map(str, listed))} only"
+    elif len(seeds) == 1:
         return seeds[0]
-    if seeds:
-        # runs written by separate simulate calls: which to pool is the user's choice
-        raise ValueError(f"{run} holds {len(seeds)} runs and no pooled run; pass them one "
-                         f"by one: {' '.join(f'--metrics {p}' for p in seeds)}")
-    return run
+    elif seeds:
+        held = "no pooled run"
+    else:
+        return run
+    # runs written by separate simulate calls: which to pool is the user's choice
+    raise ValueError(f"{run} holds {len(seeds)} runs and {held}; pass them one by one: "
+                     f"{' '.join(f'--metrics {p}' for p in seeds)}")
 
 
 def _read_column(path: Path, header: tuple[str, ...]) -> list[float]:

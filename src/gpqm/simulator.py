@@ -12,14 +12,16 @@ Everything is driven by seeded `random.Random` streams, one set per FAP, and
 a total event order, so identical inputs reproduce bit-identical metrics.
 Ticks, once per whole second, set positions, rates, scheduled queue limits,
 Poisson's rate and AIMD's ceiling (on/off reads the demand at each packet): a
-tick runs after every event due before it and before any event due at its
-instant. FAPs interact only at ticks, so from one tick to the next each FAP
-runs its own loop over its two pending events, the next arrival and the next
-departure; within a FAP, events due at the same time run in the order they
-were scheduled. Each FAP keeps its delay samples and packet records in the
-order of its own events, and a run's outputs are the FAPs' outputs one FAP
-after another, in scenario order. A FAP's packet records are two columns,
-creation and delivery times, with None delivered for a drop.
+tick takes effect after every event due before it and before any event due
+at its instant. A tick reads no queue state, so every tick is settled first,
+into a table of each FAP's settings at each second; then each FAP runs
+through all its ticks on its own, over its two pending events, the next
+arrival and the next departure. Within a FAP, events due at the same time
+run in the order they were scheduled. Each FAP keeps its delay samples,
+throughput bins and packet records in the order of its own events, and a
+run's outputs are the FAPs' outputs one FAP after another, in scenario order
+(the bins summed). A FAP's packet records are two columns, creation and
+delivery times, with None delivered for a drop.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ SERVICE_MODES = ("deterministic", "exponential")
 # simulation. The largest run of the tests, the README and the benchmark (the
 # congested scenarios of acceptance test AC4) expects 2.2 million.
 _MAX_PACKETS = 50_000_000
+# A run of more FAP-ticks (FAPs times started seconds) than this is refused
+# before the first event: the settings table takes about 104 bytes a FAP-tick,
+# 10 MB at the bound, and 3 FAPs at 100 bit/s ticked for 3e4 s, just under it,
+# take 0.7 s. The largest run of the tests, the README and the benchmark ticks
+# 3 FAPs 100 times.
+_MAX_TICKS = 100_000
 # The percentile every report gives: SimMetrics.percentiles (and so
 # summary.json and the benchmark CSV) and `gpqm analyze cdf`.
 PERCENTILE = 90.0
@@ -245,50 +253,36 @@ class CoDelQueue(DropTailQueue):
 
 
 class _Fap:
-    """One FAP's source, queue and server, run on its own from tick to tick.
+    """One FAP's source, queue and server, run through all its ticks in one call.
 
     Its pending events are the next arrival and the next departure; of two due
     at one time, the one scheduled first runs first. Its delay samples
-    collect in `delays` and its packet records in the columns `created_s` and
-    `delivered_s`, in the order of the events that made them.
+    collect in `delays`, its in-window deliveries in its own throughput bins
+    and its packet records in the columns `created_s` and `delivered_s`, in
+    the order of the events that made them. It shares no mutable state with
+    another FAP: its run reads only its settings rows and its own streams.
     """
 
-    def __init__(self, i: int, trace_fap, config: SimConfig, thr_bins: list[float]):
-        base = config.seed * 1_000_003
+    def __init__(self, i: int, trace_fap, config: SimConfig):
         self.trace = trace_fap
-        self.queue = _queue(config, base, i)
-        self.arr_rng = random.Random(base + 2 * i)
-        self.srv_rng = random.Random(base + 2 * i + 1)
-        self.fade_rng = random.Random(base + 700_000 + i)
+        self.queue = _queue(config, i)
+        self.arr_rng = _stream(config, 2 * i)
+        self.srv_rng = _stream(config, 2 * i + 1)
         self.config = config
-        self.thr_bins = thr_bins
-        self.serving = None
-        self.rate_bps = 0.0
-        self.prop_s = 0.0
-        self.demand_bps = trace_fap.demand.at(0.0)  # Poisson's rate, AIMD's ceiling
-        self.aimd_rate_bps = self.demand_bps / 2.0
+        # One bin per started second of the window; the last may cover part of a second.
+        self.thr_bins = [0.0] * math.ceil(config.measure_s)
         # End of an on/off source's on period: a draw for any other would shift its arrivals.
         self.off_at = self.arr_rng.expovariate(2.0) if config.traffic == "onoff" else math.inf
-        # A silent source stays silent (see DemandProfile).
-        self.arrival_at = self.next_arrival(0.0) if self.demand_bps > 0.0 else math.inf
-        self.departure_at = math.inf
-        self.arrival_last = True  # whether the pending arrival was scheduled after the departure
         self.delays: list[float] = []
         self.created_s: list[float] = []
         self.delivered_s: list[float | None] = []
-        self.generated = self.delivered = self.dropped = 0
-        self.w_generated = self.w_delivered = self.w_dropped = 0
+        self.dropped = self.w_dropped = 0
 
     def next_arrival(self, now: float) -> float:
-        """Time of the source's next packet after `now` (inf if it sends no more).
+        """Time of an on/off source's next packet after `now` (inf if it sends no more).
 
-        `run` draws Poisson's and AIMD's inline, by the same formulas.
+        `run` draws Poisson's and AIMD's inline.
         """
-        traffic = self.config.traffic
-        if traffic == "poisson":
-            return now + self.arr_rng.expovariate(self.demand_bps / PACKET_BITS)
-        if traffic == "aimd":
-            return now + PACKET_BITS / self.aimd_rate_bps
         # Skip to the next on period until the packet fits in one or the run ends.
         demand = self.trace.demand
         t = now + PACKET_BITS / demand.at(now)
@@ -312,19 +306,23 @@ class _Fap:
             self.created_s.append(created)
             self.delivered_s.append(None)
 
-    def run(self, now: float, until: float) -> None:
-        """Run the events due from the tick at `now` to before `until`, first
-        serving an idle link.
+    def run(self, settings, duration: float) -> None:
+        """Run the FAP through all its ticks, settled beforehand by
+        `_tick_settings`, in one call, to `duration`: `settings[t]` is the
+        (rate, propagation delay, queue limit or None, demand) of the tick at
+        t s. The demand is Poisson's rate and AIMD's ceiling; on/off reads
+        the demand at each packet.
 
-        An arrival is counted, then joins the queue or is dropped, starts the
-        server if it is idle, then the source schedules its next packet; a
-        departure delivers its packet, then the server takes the next one.
+        A tick takes effect after every event due before it and before any
+        event due at its instant, then serves an idle link. An arrival is
+        counted, then joins the queue or is dropped, starts the server if it
+        is idle, then the source schedules its next packet; a departure
+        delivers its packet, then the server takes the next one.
         """
         cfg = self.config
         lo, hi = cfg.bootstrap_s, cfg.bootstrap_s + cfg.measure_s
         traffic = cfg.traffic
         poisson, aimd = traffic == "poisson", traffic == "aimd"
-        lam = self.demand_bps / PACKET_BITS  # Poisson's packets per second
         arr_random = self.arr_rng.random
         next_arrival = self.next_arrival
         record = cfg.record_packets
@@ -337,141 +335,164 @@ class _Fap:
         last_bin = len(thr) - 1
         delays = self.delays.append
         record_created, record_delivered = self.created_s.append, self.delivered_s.append
-        rate, prop = self.rate_bps, self.prop_s
-        st = PACKET_BITS / rate if rate > 0.0 else math.inf
-        mu = rate / PACKET_BITS  # exponential service's packets per second
         srv_random = None if cfg.service_mode == "deterministic" else self.srv_rng.random
-        serving, arrival_at, departure_at = self.serving, self.arrival_at, self.departure_at
-        arrival_last = self.arrival_last
+        serving, departure_at = None, math.inf
+        arrival_last = True  # whether the pending arrival was scheduled after the departure
         generated = delivered = w_generated = w_delivered = 0
+        demand = settings[0][3]
+        self.aimd_rate_bps = demand / 2.0
+        if demand > 0.0:  # a silent source stays silent (see DemandProfile)
+            # the first arrival, drawn as every later one below
+            if poisson:
+                arrival_at = 0.0 - log(1.0 - arr_random()) / (demand / PACKET_BITS)
+            elif aimd:
+                arrival_at = 0.0 + PACKET_BITS / self.aimd_rate_bps
+            else:
+                arrival_at = next_arrival(0.0)
+        else:
+            arrival_at = math.inf
 
-        if serving is None and rate > 0.0:
-            serving = pull(now, drop)
-            if serving is not None:
-                departure_at = (now + st if srv_random is None
-                                else now - log(1.0 - srv_random()) / mu)
-                arrival_last = False
-        while True:
-            if arrival_at < departure_at or (arrival_at == departure_at and not arrival_last):
-                now = arrival_at
-                if now >= until:
-                    break
-                generated += 1
-                if lo <= now < hi:
-                    w_generated += 1
-                in_system = len(items) + (serving is not None)
-                if in_system < limit if plain else admit(in_system):
-                    items.append(now)
-                    if serving is None and rate > 0.0:
-                        serving = items.popleft() if plain else pull(now, drop)
+        for tick, (rate, prop, tick_limit, demand) in enumerate(settings):
+            now = float(tick)
+            until = min(now + 1.0, duration)
+            if tick_limit is not None:
+                limit = tick_limit
+            lam = demand / PACKET_BITS  # Poisson's packets per second
+            st = PACKET_BITS / rate if rate > 0.0 else math.inf
+            mu = rate / PACKET_BITS  # exponential service's packets per second
+            if serving is None and rate > 0.0:
+                serving = pull(now, drop)
+                if serving is not None:
+                    departure_at = (now + st if srv_random is None
+                                    else now - log(1.0 - srv_random()) / mu)
+                    arrival_last = False
+            while True:
+                if arrival_at < departure_at or (arrival_at == departure_at and not arrival_last):
+                    now = arrival_at
+                    if now >= until:
+                        break
+                    generated += 1
+                    if lo <= now < hi:
+                        w_generated += 1
+                    in_system = len(items) + (serving is not None)
+                    if in_system < limit if plain else admit(in_system):
+                        items.append(now)
+                        if serving is None and rate > 0.0:
+                            serving = items.popleft() if plain else pull(now, drop)
+                            if serving is not None:
+                                departure_at = (now + st if srv_random is None
+                                                else now - log(1.0 - srv_random()) / mu)
+                                arrival_last = False
+                    else:
+                        drop(now, now)
+                    # Random.expovariate's own formula, inline: the same floats
+                    if poisson:
+                        arrival_at = now - log(1.0 - arr_random()) / lam
+                    elif aimd:
+                        arrival_at = now + PACKET_BITS / self.aimd_rate_bps
+                    else:
+                        arrival_at = next_arrival(now)
+                    arrival_last = True
+                else:
+                    now = departure_at
+                    if now >= until:
+                        break
+                    created, serving, departure_at = serving, None, math.inf
+                    delivered_at = now + prop
+                    delivered += 1
+                    if lo <= delivered_at < hi:
+                        w_delivered += 1
+                        delays(delivered_at - created)
+                        # an offset that rounds up to measure_s belongs to the last bin
+                        thr[min(int(delivered_at - lo), last_bin)] += PACKET_BITS
+                    if record:
+                        record_created(created)
+                        record_delivered(delivered_at)
+                    if aimd:
+                        self.aimd_rate_bps = min(self.aimd_rate_bps + PACKET_BITS, demand)
+                    if rate > 0.0:
+                        serving = (items.popleft() if items else None) if plain else pull(now, drop)
                         if serving is not None:
                             departure_at = (now + st if srv_random is None
                                             else now - log(1.0 - srv_random()) / mu)
                             arrival_last = False
-                else:
-                    drop(now, now)
-                # Random.expovariate's own formula, inline: the same floats
-                if poisson:
-                    arrival_at = now - log(1.0 - arr_random()) / lam
-                elif aimd:
-                    arrival_at = now + PACKET_BITS / self.aimd_rate_bps
-                else:
-                    arrival_at = next_arrival(now)
-                arrival_last = True
-            else:
-                now = departure_at
-                if now >= until:
-                    break
-                created, serving, departure_at = serving, None, math.inf
-                delivered_at = now + prop
-                delivered += 1
-                if lo <= delivered_at < hi:
-                    w_delivered += 1
-                    delays(delivered_at - created)
-                    # an offset that rounds up to measure_s belongs to the last bin
-                    thr[min(int(delivered_at - lo), last_bin)] += PACKET_BITS
-                if record:
-                    record_created(created)
-                    record_delivered(delivered_at)
-                if aimd:
-                    self.aimd_rate_bps = min(self.aimd_rate_bps + PACKET_BITS, self.demand_bps)
-                if rate > 0.0:
-                    serving = (items.popleft() if items else None) if plain else pull(now, drop)
-                    if serving is not None:
-                        departure_at = (now + st if srv_random is None
-                                        else now - log(1.0 - srv_random()) / mu)
-                        arrival_last = False
 
-        self.serving, self.arrival_at, self.departure_at = serving, arrival_at, departure_at
-        self.arrival_last = arrival_last
-        self.generated += generated
-        self.delivered += delivered
-        self.w_generated += w_generated
-        self.w_delivered += w_delivered
+        self.generated, self.delivered = generated, delivered
+        self.w_generated, self.w_delivered = w_generated, w_delivered
+        self.residual = len(items) + (serving is not None)
 
 
-def _queue(config: SimConfig, base: int, i: int) -> DropTailQueue:
+def _stream(config: SimConfig, offset: int) -> random.Random:
+    """The run's random stream `offset`: each FAP's arrivals, service, fading and RED."""
+    return random.Random(config.seed * 1_000_003 + offset)
+
+
+def _queue(config: SimConfig, i: int) -> DropTailQueue:
     if config.queue == "red":
-        return RedQueue(config.queue_size, random.Random(base + 800_000 + i))
+        return RedQueue(config.queue_size, _stream(config, 800_000 + i))
     if config.queue == "codel":
         return CoDelQueue()
     return DropTailQueue(config.queue_size)  # scheduled takes the plan's limits at each tick
 
 
-def _tick_setting(config: SimConfig, trace: ScenarioTrace, plan, now: float):
-    """Gateway position, transmit power and per-FAP queue limits (or None) at a tick."""
-    cur = plan.at(now) if config.placement == "gpqm" or config.queue == "scheduled" else None
-    sched = {fp.fap_id: fp.queue_pkts for fp in cur.faps} if config.queue == "scheduled" else None
-    if config.placement == "gpqm":
-        return cur.fgw_position, cur.tx_power_dbm, sched
-    venue = trace.venue
-    if config.placement == "venue-center":
-        fgw = (venue.x_max_m / 2.0, venue.y_max_m / 2.0, venue.z_max_m / 2.0)
-    elif config.placement == "fixed":
-        fgw = config.fixed_position
-    else:  # centroid, refreshed on the planning grid like the planner
-        t_grid = math.floor(now / trace.planning_period_s) * trace.planning_period_s
-        points = [f.position_at(t_grid) for f in trace.faps]
-        fgw = tuple(sum(p[k] for p in points) / len(points) for k in range(3))
-    return fgw, config.baseline_tx_power_dbm, sched
+def _tick_settings(config: SimConfig, trace: ScenarioTrace, plan, n_ticks: int):
+    """Each FAP's (rate, propagation delay, queue limit or None, demand) at
+    the ticks 0, 1, ..., n_ticks - 1 s: `settings[i][t]` for FAP i at t s.
 
+    A tick reads the positions, the plan, the MCS table, the demand schedule
+    and each FAP's own fading stream, but no queue state, so every tick is
+    settled before any packet moves.
+    """
+    channel, venue, faps = trace.channel, trace.venue, trace.faps
+    table = trace.mcs_table()
+    fade_rngs = [_stream(config, 700_000 + i) for i in range(len(faps))]
+    settings: list[list[tuple]] = [[] for _ in faps]
+    for tick in range(n_ticks):
+        now = float(tick)
+        cur = plan.at(now) if config.placement == "gpqm" or config.queue == "scheduled" else None
+        sched = {fp.fap_id: fp.queue_pkts for fp in cur.faps} if config.queue == "scheduled" else None
+        tx = config.baseline_tx_power_dbm
+        if config.placement == "gpqm":
+            fgw, tx = cur.fgw_position, cur.tx_power_dbm
+        elif config.placement == "venue-center":
+            fgw = (venue.x_max_m / 2.0, venue.y_max_m / 2.0, venue.z_max_m / 2.0)
+        elif config.placement == "fixed":
+            fgw = config.fixed_position
+        else:  # centroid, refreshed on the planning grid like the planner
+            t_grid = math.floor(now / trace.planning_period_s) * trace.planning_period_s
+            points = [f.position_at(t_grid) for f in faps]
+            fgw = tuple(sum(p[k] for p in points) / len(points) for k in range(3))
 
-def _tick(config: SimConfig, trace: ScenarioTrace, plan, table, faps: list[_Fap],
-          now: float) -> None:
-    """Set positions, rates, scheduled queue limits and demand."""
-    channel = trace.channel
-    fgw, tx, sched = _tick_setting(config, trace, plan, now)
-    selected = []
-    for f in faps:
-        pos = f.trace.position_at(now)
-        d = max(math.dist(pos, fgw), 1e-3)
-        f.prop_s = d / SPEED_OF_LIGHT_MPS
-        snr = friis_snr_db(channel, tx, d)
-        if config.fading:
-            snr = rician_snr_sample(snr, channel.rician_k_db, f.fade_rng)
-        mcs = table.for_snr(snr)
-        selected.append(mcs)
-        f.rate_bps = mcs.fair_share_bps if mcs is not None else 0.0
+        props, selected = [], []
+        for f, fade_rng in zip(faps, fade_rngs):
+            d = max(math.dist(f.position_at(now), fgw), 1e-3)
+            props.append(d / SPEED_OF_LIGHT_MPS)
+            snr = friis_snr_db(channel, tx, d)
+            if config.fading:
+                snr = rician_snr_sample(snr, channel.rician_k_db, fade_rng)
+            selected.append(table.for_snr(snr))
+        rates = [m.fair_share_bps if m is not None else 0.0 for m in selected]
+        phy_rates = [m.phy_rate_bps for m in selected if m is not None]
+        if config.channel_mode == "shared" and phy_rates:
+            cap = channel.mac_efficiency * max(phy_rates)
+            total = sum(rates)
+            if total > cap:
+                rates = [r * (cap / total) for r in rates]
 
-    phy_rates = [m.phy_rate_bps for m in selected if m is not None]
-    if config.channel_mode == "shared" and phy_rates:
-        cap = channel.mac_efficiency * max(phy_rates)
-        total = sum(f.rate_bps for f in faps)
-        if total > cap:
-            scale = cap / total
-            for f in faps:
-                f.rate_bps *= scale
-
-    for f in faps:
-        if sched is not None:
-            f.queue.limit = sched[f.trace.fap_id]
-        f.demand_bps = f.trace.demand.at(now)
+        for rows, f, rate, prop in zip(settings, faps, rates, props):
+            rows.append((rate, prop, sched[f.fap_id] if sched is not None else None,
+                         f.demand.at(now)))
+    return settings
 
 
 def simulate(
     trace: ScenarioTrace, config: SimConfig, plan: PlanSeries | None = None
 ) -> SimMetrics:
-    """Run one seeded simulation of a scenario against its own MCS ladder."""
+    """Run one seeded simulation of a scenario against its own MCS ladder.
+
+    Every tick is settled first (`_tick_settings`); then each FAP runs
+    through all its ticks on its own, and the outputs are joined FAP by FAP.
+    """
     duration = config.bootstrap_s + config.measure_s
     if trace.duration_s + 1e-9 < duration:
         raise ValueError(
@@ -482,6 +503,12 @@ def simulate(
         raise ValueError(
             f"the run would send about {expected:.3g} packets at peak demand, more than "
             f"{_MAX_PACKETS}: lower the demands or shorten the run"
+        )
+    n_ticks = math.ceil(duration)
+    if len(trace.faps) * n_ticks > _MAX_TICKS:
+        raise ValueError(
+            f"the run would tick {len(trace.faps)} FAPs {n_ticks} times each, more than "
+            f"{_MAX_TICKS} FAP-ticks: shorten the run"
         )
     if config.placement == "gpqm" or config.queue == "scheduled":
         if plan is None:
@@ -499,14 +526,10 @@ def simulate(
                 raise ValueError(
                     f"plan at t={p.t_s} s has FAPs {planned}, but the scenario has {ids}"
                 )
-    table = trace.mcs_table()
-    # One bin per started second of the window; the last may cover part of a second.
-    thr_bins = [0.0] * math.ceil(config.measure_s)
-    faps = [_Fap(i, tf, config, thr_bins) for i, tf in enumerate(trace.faps)]
-    for tb in range(int(math.ceil(duration))):
-        _tick(config, trace, plan, table, faps, float(tb))
-        for f in faps:
-            f.run(float(tb), min(tb + 1.0, duration))
+    settings = _tick_settings(config, trace, plan, n_ticks)
+    faps = [_Fap(i, tf, config) for i, tf in enumerate(trace.faps)]
+    for f, rows in zip(faps, settings):
+        f.run(rows, duration)
     # The FAPs' delays one after another, each FAP's emptied as it joins, so
     # that no sample is held three times: in a FAP's list, the joined list and
     # the tuple. Each FAP's records become its own tuples as its lists go.
@@ -525,12 +548,13 @@ def simulate(
         seed=config.seed,
         bootstrap_s=config.bootstrap_s,
         measure_s=config.measure_s,
-        throughput_samples_bps=tuple(thr_bins),
+        # exact in any order: every bin holds a whole multiple of PACKET_BITS
+        throughput_samples_bps=tuple(map(sum, zip(*(f.thr_bins for f in faps)))),
         delay_samples_s=tuple(delays),
         generated=sum(f.generated for f in faps),
         delivered=sum(f.delivered for f in faps),
         dropped=sum(f.dropped for f in faps),
-        residual=sum(len(f.queue.items) + (f.serving is not None) for f in faps),
+        residual=sum(f.residual for f in faps),
         window_generated=sum(f.w_generated for f in faps),
         window_delivered=sum(f.w_delivered for f in faps),
         window_dropped=sum(f.w_dropped for f in faps),

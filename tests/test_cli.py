@@ -715,6 +715,28 @@ def test_exit_usage_on_a_demand_too_large_to_simulate(tmp_path, capsys, edit):
     assert not metrics.exists()
 
 
+def test_exit_usage_on_a_run_too_long_to_tick(tmp_path, capsys):
+    # Three FAPs at 100 bit/s stay far under the packet bound, but 1e5 s
+    # ticked once a second for each FAP took 1.44 s, and 1e9 s would ask for
+    # gigabytes of throughput bins and settings rows before the first event.
+    scenario, metrics = tmp_path / "s.json", tmp_path / "m"
+    assert cli.main(["generate", "--faps", "3", "--duration", "6", "--seed", "6",
+                     *("--demand", "100") * 3, "--out", str(scenario)]) == 0
+    data = json.loads(scenario.read_text())
+    data["duration_s"] = 1e9
+    scenario.write_text(json.dumps(data))
+    capsys.readouterr()
+    with _hang_guard(10):
+        t0 = time.monotonic()
+        assert cli.main(["simulate", "--scenario", str(scenario), "--policy", "venue-center",
+                         "--queue", "droptail", "--bootstrap", "0", "--measure", "1e5",
+                         "--out", str(metrics)]) == 2
+        assert time.monotonic() - t0 < 1.0
+    assert ("the run would tick 3 FAPs 100000 times each, more than 100000 FAP-ticks"
+            in capsys.readouterr().err)
+    assert not metrics.exists()
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -818,6 +840,34 @@ def test_exit_usage_names_the_runs_of_a_directory_without_a_pooled_run(tmp_path,
     assert f"--metrics {runs / 'seed1'} --metrics {runs / 'seed2'}" in err
     assert "throughput.csv" not in err
     assert not out.exists()
+
+
+def test_exit_usage_names_the_runs_a_pooled_run_leaves_out(tmp_path, capsys):
+    # `--runs 2 --seed 1` pools seed1 and seed2; a later `--seed 5` into the
+    # same --out adds seed5, which the pooled run does not hold.
+    scenario, runs = tmp_path / "s.json", tmp_path / "runs"
+    assert cli.main([
+        "generate", "--faps", "2", "--duration", "3", "--seed", "6", "--out", str(scenario),
+    ]) == 0
+    simulate = ["simulate", "--scenario", str(scenario), "--policy", "venue-center",
+                "--bootstrap", "1", "--measure", "1", "--out", str(runs)]
+    assert cli.main([*simulate, "--seed", "1", "--runs", "2"]) == 0
+    summary = runs / "pooled" / "summary.json"
+    assert json.loads(summary.read_text())["seeds"] == [1, 2]
+    assert cli._resolve_run_dir(runs) == runs / "pooled"
+    assert cli.main([*simulate, "--seed", "5"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "cdf.json"
+    assert _analyze([runs], out) == 2
+    err = capsys.readouterr().err
+    assert "a pooled run of seeds 1, 2 only" in err
+    assert " ".join(f"--metrics {runs / s}" for s in ("seed1", "seed2", "seed5")) in err
+    assert not out.exists()
+    # A pooled run whose summary lists no seeds, as written before the list, is read as it is.
+    data = json.loads(summary.read_text())
+    del data["seeds"]
+    summary.write_text(json.dumps(data))
+    assert cli._resolve_run_dir(runs) == runs / "pooled"
 
 
 # Runs the README pipeline's commands, then the pair study, in one fresh

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import math
 import random
 import statistics
@@ -196,14 +197,14 @@ def test_inline_poisson_gap_is_expovariate():
     # now - log(1 - random()) / lam, Random.expovariate's formula written out,
     # so the floats match bit for bit. Should an interpreter change
     # expovariate, this test names the cause where only golden hashes would fail.
-    for seed in (0, 1, 7, 12345):
-        for lam in (0.5, 8.0, 1785.7, 37607.1, 1e6):
-            inline, ref = random.Random(seed), random.Random(seed)
-            now = 0.25
-            for _ in range(200):
-                at = now - math.log(1.0 - inline.random()) / lam
-                assert at == now + ref.expovariate(lam)
-                now = at
+    # The first arrival is drawn at 0.0 by the same formula.
+    for seed, lam, now in itertools.product(
+            (0, 1, 7, 12345), (0.5, 8.0, 1785.7, 37607.1, 1e6), (0.0, 0.25)):
+        inline, ref = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            at = now - math.log(1.0 - inline.random()) / lam
+            assert at == now + ref.expovariate(lam)
+            now = at
 
 
 def test_run_leaves_no_reference_cycles():
@@ -216,6 +217,27 @@ def test_run_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("queue", ["droptail", "red", "codel"])
+@pytest.mark.parametrize("traffic", ["poisson", "onoff", "aimd"])
+def test_a_fap_runs_on_its_own_settings_and_streams(queue, traffic):
+    # Under an independent channel and a fixed gateway, nothing links the
+    # FAPs: another path and demand for FAP 0 leave every other FAP's records
+    # and goodput as they were, bit for bit.
+    trace = generate_rwm(n_faps=3, duration_s=3.0, seed=6)
+    other = generate_rwm(n_faps=1, duration_s=3.0, seed=11).faps[0]
+    moved = replace(trace, faps=(
+        replace(trace.faps[0], waypoints=other.waypoints,
+                demand=DemandProfile(schedule=((0.0, 30e6), (1.2, 150e6)))),
+        *trace.faps[1:]))
+    cfg = SimConfig(bootstrap_s=0.5, measure_s=2.5, seed=4, placement="venue-center",
+                    queue=queue, queue_size=8, traffic=traffic, record_packets=True)
+    a, b = simulate(trace, cfg), simulate(moved, cfg)
+    assert a.packets[0] != b.packets[0]
+    assert a.packets[1:] == b.packets[1:]
+    for fap in trace.faps[1:]:
+        assert a.per_fap_goodput_bps[fap.fap_id] == b.per_fap_goodput_bps[fap.fap_id]
 
 
 def test_seed_changes_outcome():
